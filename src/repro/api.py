@@ -2,16 +2,14 @@
 
 Every run the framework can perform — profile a workload, derive a
 prefetch plan, simulate one prefetching configuration — is identified by
-one frozen, hashable request object, :class:`ExperimentSpec`.  The spec
-replaces the historical stringly-typed five-positional-argument call
-sites scattered across the experiment drivers, the CLI and the
-benchmarks: every layer (the parallel engine, the persistent disk
-cache, the legacy ``runner`` shims) now speaks this one type.
+one frozen, hashable request object, :class:`ExperimentSpec`, which
+every layer (the parallel engine, the persistent disk cache, the CLI)
+speaks.
 
-The module is a *facade*: it owns the spec type and the canonical
-configuration vocabulary, and lazily dispatches to the compute layers so
-that ``repro.api`` can be imported from anywhere (including worker
-processes) without import cycles.
+The module is a *facade*: it owns the spec type and the configuration
+table (:data:`CONFIG_TABLE`, what each config means), and lazily
+dispatches to the compute layers so that ``repro.api`` can be imported
+from anywhere (including worker processes) without import cycles.
 
 Typical use::
 
@@ -32,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.cachesim.options import SimOptions
 from repro.errors import ExperimentError
@@ -45,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CONFIGS",
+    "CONFIG_TABLE",
+    "ConfigRow",
+    "config_row",
     "PLAN_KINDS",
     "DEFAULT_MACHINE",
     "ADVISOR_PROTOCOL",
@@ -71,22 +73,65 @@ __all__ = [
     "RetryPolicy",
 ]
 
-#: The four prefetching configurations of Figs. 4–6, plus the baseline,
-#: the combined HW+SW configuration of §VIII-B (Lee et al.'s
-#: observation, which the paper confirms: combining the two can hurt),
-#: and the coordinated hardware configurations (``hwcoord``/``hwrl``):
-#: solo cells identical to ``hw``, but mixed-workload evaluation runs a
-#: :mod:`repro.multicore.coordinator` policy over the mix.  The irregular
-#: frontier adds ``swi`` (the indirect ``prefetch B[i+d]; prefetch
-#: A[B[i+d]]`` software rewrite) and ``hwx`` (the cross-core helper LLC
-#: prefetcher of :mod:`repro.hwpref.xcore`).
-CONFIGS = (
-    "baseline", "hw", "sw", "swnt", "stride", "hwsw", "hwcoord", "hwrl",
-    "swi", "hwx",
-)
 
-#: Configurations that require a software prefetch plan.
-PLAN_KINDS = ("sw", "swnt", "stride", "swi")
+@dataclass(frozen=True)
+class ConfigRow:
+    """What one prefetching configuration means (see docs/engine.md).
+
+    Names only, so this module stays import-light: ``plan`` is a software
+    plan kind, ``prefetcher`` ``"machine"`` or ``"xcore"`` (the cross-core
+    helper), ``coordinator`` ``"heuristic"`` or ``"rl"``; ``None`` = none.
+    """
+
+    plan: str | None = None
+    prefetcher: str | None = None
+    coordinator: str | None = None
+
+    @property
+    def hw_only(self) -> bool:
+        """The machine's prefetcher is the only prefetching (``hw``-like)."""
+        return self.prefetcher == "machine" and self.plan is None
+
+
+#: Every prefetching configuration, defined once: the baseline and the
+#: four of Figs. 4–6; HW+SW combined (§VIII-B); coordinated hardware,
+#: whose solo cells equal ``hw``; the indirect ``A[B[i]]`` rewrite; and
+#: the cross-core helper prefetcher of :mod:`repro.hwpref.xcore`.
+CONFIG_TABLE: Mapping[str, ConfigRow] = MappingProxyType({
+    "baseline": ConfigRow(),
+    "hw": ConfigRow(prefetcher="machine"),
+    "sw": ConfigRow(plan="sw"),
+    "swnt": ConfigRow(plan="swnt"),
+    "stride": ConfigRow(plan="stride"),
+    "hwsw": ConfigRow(plan="swnt", prefetcher="machine"),
+    "hwcoord": ConfigRow(prefetcher="machine", coordinator="heuristic"),
+    "hwrl": ConfigRow(prefetcher="machine", coordinator="rl"),
+    "swi": ConfigRow(plan="swi"),
+    "hwx": ConfigRow(prefetcher="xcore"),
+})
+
+#: Configuration names, in table order.
+CONFIGS = tuple(CONFIG_TABLE)
+
+#: Software plan kinds some configuration requires.
+PLAN_KINDS = tuple(dict.fromkeys(r.plan for r in CONFIG_TABLE.values() if r.plan))
+
+
+def config_row(config: str) -> ConfigRow:
+    """The table row of ``config``; :class:`ExperimentError` if unknown."""
+    try:
+        return CONFIG_TABLE[config]
+    except (KeyError, TypeError):
+        raise ExperimentError(f"unknown config {config!r}; valid: {CONFIGS}") from None
+
+
+def _checked_scale(scale) -> float:
+    if not isinstance(scale, (int, float)) or isinstance(scale, bool):
+        raise ExperimentError(f"scale must be a number, got {scale!r}")
+    if not math.isfinite(scale) or scale <= 0:
+        raise ExperimentError(f"scale must be positive and finite, got {scale}")
+    return float(scale)
+
 
 #: Machine used when a spec is only a carrier for machine-independent
 #: work (profiling); any valid machine name would do.
@@ -123,17 +168,10 @@ class ExperimentSpec:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ExperimentError(f"{name} must be a non-empty string, got {value!r}")
-        if self.config not in CONFIGS:
-            raise ExperimentError(
-                f"unknown config {self.config!r}; valid: {CONFIGS}"
-            )
-        if not isinstance(self.scale, (int, float)) or isinstance(self.scale, bool):
-            raise ExperimentError(f"scale must be a number, got {self.scale!r}")
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise ExperimentError(f"scale must be positive and finite, got {self.scale}")
+        config_row(self.config)
         # Normalise so ExperimentSpec(..., scale=1) and scale=1.0 are one
         # cache key / one dict entry.
-        object.__setattr__(self, "scale", float(self.scale))
+        object.__setattr__(self, "scale", _checked_scale(self.scale))
 
     # -- derived views -------------------------------------------------
 
@@ -149,11 +187,7 @@ class ExperimentSpec:
     @property
     def plan_kind(self) -> str | None:
         """Software plan this config needs (``None`` for baseline/hw)."""
-        if self.config == "hwsw":
-            return "swnt"
-        if self.config in PLAN_KINDS:
-            return self.config
-        return None
+        return CONFIG_TABLE[self.config].plan
 
     def with_config(self, config: str) -> "ExperimentSpec":
         """Copy of this spec under another prefetching configuration."""
@@ -261,8 +295,8 @@ class AdvisorRequest:
     request_id:
         Client-chosen correlation id echoed on every response/event.
     want_plan / want_stats:
-        Select the artefacts to compute.  Plans exist only for
-        plan-bearing configs (:data:`PLAN_KINDS` plus ``hwsw``).
+        Select the artefacts to compute.  Plans exist only for configs
+        whose :data:`CONFIG_TABLE` row names a ``plan``.
     stream:
         Ask the daemon to stream progress events before the response.
     """
@@ -290,13 +324,8 @@ class AdvisorRequest:
             raise ExperimentError(
                 f"workload must be a non-empty string, got {self.workload!r}"
             )
-        if self.config not in CONFIGS:
-            raise ExperimentError(f"unknown config {self.config!r}; valid: {CONFIGS}")
-        if not isinstance(self.scale, (int, float)) or isinstance(self.scale, bool):
-            raise ExperimentError(f"scale must be a number, got {self.scale!r}")
-        if not math.isfinite(self.scale) or self.scale <= 0:
-            raise ExperimentError(f"scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "scale", float(self.scale))
+        config_row(self.config)
+        object.__setattr__(self, "scale", _checked_scale(self.scale))
         validate_tenant(self.tenant)
         if not isinstance(self.request_id, str):
             raise ExperimentError(

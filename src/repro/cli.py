@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.api import CONFIGS
 from repro.cli_options import EngineCLIOptions, cli_parent, parse_size
 from repro.config import MACHINES, get_machine
 from repro.errors import ReproError, RunInterrupted
@@ -77,10 +78,6 @@ __all__ = ["main", "build_parser", "EXIT_INTERRUPTED"]
 #: graceful drain (EX_TEMPFAIL).  The run is resumable: wrappers that
 #: see this code can re-invoke ``repro run --resume <run-id>``.
 EXIT_INTERRUPTED = 75
-
-#: Backwards-compatible alias; the definition moved to repro.cli_options.
-_parse_size = parse_size
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -128,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--configs",
         default="baseline,hw,swnt",
-        help="comma-separated configs (baseline,hw,sw,swnt,stride,hwsw,swi,hwx)",
+        help=f"comma-separated configs ({','.join(CONFIGS)})",
     )
 
     p_chr = sub.add_parser(
@@ -210,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--configs",
         default="baseline,hw,swnt",
-        help="comma-separated configs (baseline,hw,sw,swnt,stride,hwsw,swi,hwx)",
+        help=f"comma-separated configs ({','.join(CONFIGS)})",
     )
     add_common(p_run)
     p_run.add_argument(
@@ -456,7 +453,7 @@ def _cmd_workloads() -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    from repro.core.pipeline import OptimizerSettings, PrefetchOptimizer
+    from repro.experiments.runner import plan_from_sampling
     from repro.isa import emit, execute_program, insert_prefetches
     from repro.sampling import RuntimeSampler
     from repro.workloads import build_program, workload_seed
@@ -468,9 +465,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     )
     sampling = RuntimeSampler(rate=2e-3, seed=1).sample(execution.trace)
     print(sampling.describe())
-    settings = OptimizerSettings(enable_bypass=not args.no_bypass)
-    plan = PrefetchOptimizer(machine, settings).analyze(
-        sampling, refs_per_pc=program.refs_per_pc()
+    plan = plan_from_sampling(
+        "sw" if args.no_bypass else "swnt", sampling, machine,
+        refs_per_pc=program.refs_per_pc(),
     )
     print(plan.summary())
     if args.emit_asm:

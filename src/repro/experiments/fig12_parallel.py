@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import get_machine
-from repro.core.pipeline import PrefetchOptimizer
-from repro.experiments.runner import hw_prefetcher_for
+from repro.experiments.fig8_mix_detail import direct_row
+from repro.experiments.runner import plan_from_sampling, prefetcher_for
 from repro.experiments.tables import render_table
 from repro.isa.interpreter import execute_program
 from repro.isa.rewriter import insert_prefetches
@@ -47,31 +47,31 @@ def _run_parallel(
     rate: float = 2e-3,
 ):
     machine = get_machine(machine_name)
+    row = direct_row(config)
     spec = get_parallel_workload(name)
     programs = spec.build(threads, "ref", scale)
 
-    if config in ("sw", "swnt"):
+    if row.plan is not None:
         # Profile thread 0; all threads share the code, so one plan
         # rewrites every thread's program (the paper's single profile).
         profile_exec = execute_program(programs[0], seed=workload_seed(name, "ref"))
         sampling = RuntimeSampler(rate=rate, seed=workload_seed(name, "ref") & 0xFFFF).sample(
             profile_exec.trace
         )
-        plan = PrefetchOptimizer(machine).analyze(
-            sampling, refs_per_pc=programs[0].refs_per_pc()
+        plan = plan_from_sampling(
+            row.plan, sampling, machine, programs[0].refs_per_pc(), programs[0].indirect_pairs()
         )
         programs = [insert_prefetches(p, plan) for p in programs]
 
     specs = []
     for t, program in enumerate(programs):
         execution = execute_program(program, seed=workload_seed(name, "ref", salt=t))
-        prefetcher = hw_prefetcher_for(machine) if config == "hw" else None
         specs.append(
             CoreSpec(
                 trace=execution.trace,
                 work_per_memop=execution.work_per_memop,
                 mlp=execution.mlp,
-                prefetcher=prefetcher,
+                prefetcher=prefetcher_for(row, machine, program),
                 name=f"{name}.t{t}",
             )
         )

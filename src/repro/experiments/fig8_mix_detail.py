@@ -14,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import get_machine
-from repro.api import ExperimentSpec
-from repro.experiments.runner import hw_prefetcher_for, plan_for_spec, profile_for
+from repro.api import ConfigRow, ExperimentSpec, config_row
+from repro.errors import ExperimentError
+from repro.experiments.runner import hw_prefetcher_for, plan_for_spec, prefetcher_for, profile_for
 from repro.experiments.tables import render_table
 from repro.isa.interpreter import execute_program
 from repro.isa.rewriter import insert_prefetches
@@ -23,7 +24,7 @@ from repro.multicore.simulator import CoreSpec, MulticoreSimulator
 from repro.workloads.base import workload_seed
 from repro.workloads.mixes import Mix, fig8_mix
 
-__all__ = ["Fig8Result", "run_fig8", "render_fig8"]
+__all__ = ["Fig8Result", "run_fig8", "render_fig8", "direct_row"]
 
 
 @dataclass(frozen=True)
@@ -36,28 +37,34 @@ class Fig8Result:
     bandwidth: dict[str, float]  # config -> achieved GB/s
 
 
+def direct_row(config: str) -> ConfigRow:
+    """``config``'s row, if the direct multicore simulation can model it."""
+    row = config_row(config)
+    if row.coordinator is not None:
+        raise ExperimentError(
+            f"config {config!r} coordinates its cores, which direct simulation does not model"
+        )
+    return row
+
+
 def _core_specs(mix: Mix, machine_name: str, config: str, scale: float) -> list[CoreSpec]:
     machine = get_machine(machine_name)
+    row = direct_row(config)
     specs = []
     for name, input_set in zip(mix.members, mix.inputs):
         profile = profile_for(name, input_set, scale)
-        if config in ("sw", "swnt", "stride"):
-            plan = plan_for_spec(
-                ExperimentSpec(name, machine_name, config, input_set, scale)
-            )
+        execution = profile.execution
+        if row.plan is not None:
+            plan = plan_for_spec(ExperimentSpec(name, machine_name, config, input_set, scale))
             program = insert_prefetches(profile.program, plan)
             execution = execute_program(program, seed=workload_seed(name, input_set))
-        else:
-            execution = profile.execution
-        prefetcher = None
-        if config == "hw":
-            prefetcher = hw_prefetcher_for(machine)
         specs.append(
             CoreSpec(
                 trace=execution.trace,
                 work_per_memop=execution.work_per_memop,
                 mlp=execution.mlp,
-                prefetcher=prefetcher,
+                # unthrottled, built by this module's own factory name
+                prefetcher=prefetcher_for(row, machine, profile.program, hw=hw_prefetcher_for),
                 name=name,
             )
         )
@@ -73,6 +80,8 @@ def run_fig8(
     """Directly simulate the Fig. 8 mix under each configuration."""
     machine = get_machine(machine_name)
     the_mix = mix if mix is not None else fig8_mix()
+    for config in configs:
+        direct_row(config)
 
     results = {}
     for config in ("baseline", *configs):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.config import get_machine
-from repro.api import ExperimentEngine, ExperimentSpec, current_engine
+from repro.api import CONFIG_TABLE, ExperimentEngine, ExperimentSpec, config_row, current_engine
 from repro.experiments.runner import profile_for, run_spec
 from repro.metrics.throughput import fair_speedup, qos_degradation, weighted_speedup
 from repro.multicore.contention import AppProfile, solve_mix
@@ -31,8 +31,12 @@ __all__ = [
 ]
 
 #: Configurations whose solo cells carry a hardware prefetcher whose
-#: speculative stream a coordinator (or the static curve) can retire.
-HW_CONFIGS = ("hw", "hwcoord", "hwrl")
+#: speculative stream a coordinator (or the static curve) can retire;
+#: their app profiles size it against the baseline solo run.
+HW_CONFIGS = tuple(c for c, row in CONFIG_TABLE.items() if row.hw_only)
+
+#: Coordinator name (:attr:`repro.api.ConfigRow.coordinator`) -> policy.
+_COORDINATORS = {"heuristic": HeuristicCoordinator, "rl": RLCoordinator.default}
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,6 @@ class MixOutcome:
     app_names: tuple[str, ...]
     cycles: tuple[float, ...]
     dram_lines: float
-
-    def speedups_vs(self, baseline: "MixOutcome") -> list[float]:
-        """Per-application speedups against the baseline mix."""
-        return [b / c for b, c in zip(baseline.cycles, self.cycles)]
 
     def weighted_speedup_vs(self, baseline: "MixOutcome") -> float:
         return weighted_speedup(baseline.cycles, self.cycles)
@@ -79,7 +79,7 @@ def app_profile(
     profile = profile_for(name, input_set, scale)
     throttleable = 0.0
     throttle_cost = 0.0
-    if config in HW_CONFIGS:
+    if config_row(config).hw_only:
         base = run_spec(cell.with_config("baseline"))
         base_lines = base.dram_fills + base.dram_writebacks
         hw_lines = stats.dram_fills + stats.dram_writebacks
@@ -108,11 +108,8 @@ def app_profile(
 
 def coordinator_for(config: str) -> Coordinator | None:
     """The coordination policy a mix-level configuration implies."""
-    if config == "hwcoord":
-        return HeuristicCoordinator()
-    if config == "hwrl":
-        return RLCoordinator.default()
-    return None
+    name = config_row(config).coordinator
+    return None if name is None else _COORDINATORS[name]()
 
 
 def evaluate_mix(
@@ -160,10 +157,8 @@ def evaluate_mixes(
     )
     # Hardware-prefetch app profiles additionally need the baseline
     # solo run to size the throttleable stream (see :func:`app_profile`).
-    needs_baseline = any(c in HW_CONFIGS for c in configs)
-    cell_configs = tuple(dict.fromkeys(
-        (*configs, *(("baseline",) if needs_baseline else ()))
-    ))
+    baseline = ("baseline",) if any(config_row(c).hw_only for c in configs) else ()
+    cell_configs = tuple(dict.fromkeys((*configs, *baseline)))
     engine.run(
         ExperimentSpec(name, machine_name, config, input_set, scale)
         for name, input_set in members

@@ -1,25 +1,18 @@
 """Single-cell experiment compute layer.
 
-Encodes the paper's evaluation protocol (§VII):
-
-* the **baseline** is the original program with hardware prefetching
-  turned off;
-* **Hardware Pref.** runs the original program with the machine's
-  hardware prefetcher model enabled;
-* **Software Pref.** / **Soft.Pref.+NT** run the rewritten program (one
-  profiling pass on the *reference* input, analysed per target machine)
-  without hardware prefetching — NT adds the cache-bypass analysis;
-* **Stride-centric** runs the rewritten program from the baseline plan
-  of Luk'02/Wu'02-style insertion.
+Encodes the paper's evaluation protocol (§VII): one profiling pass on
+the *reference* input, analysed per target machine, yields each software
+plan, and a cell runs the original or rewritten program with whatever
+hardware prefetcher its :data:`~repro.api.CONFIG_TABLE` row names.  The
+row's names are resolved here (:func:`plan_from_sampling`,
+:func:`prefetcher_for`).
 
 Every cell is addressed by an :class:`~repro.api.ExperimentSpec`.  The
 spec-based entry points (:func:`profile_for_spec`, :func:`plan_for_spec`,
 :func:`run_spec`) share **one** memo table and, when a persistent
 :class:`~repro.cache.ResultCache` is activated (see :func:`set_cache`),
 one on-disk store — so the CLI, the parallel engine and the experiment
-drivers all reuse each other's work.  The historical stringly-typed
-functions were removed after their deprecation cycle; the old names now
-raise :class:`~repro.errors.ExperimentError` pointing at the spec API.
+drivers all reuse each other's work.
 
 Every expensive stage is wrapped in a :func:`repro.obs.span` so traced
 runs show where profiling, planning and simulation time goes (see
@@ -32,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro import faults, obs
-from repro.api import CONFIGS, PLAN_KINDS, ExperimentSpec
+from repro.api import CONFIG_TABLE, CONFIGS, PLAN_KINDS, ConfigRow, ExperimentSpec
 from repro.baselines.stride_centric import stride_centric_plan
 from repro.cache import ResultCache
 from repro.cachesim.bandwidth import BandwidthModel
@@ -60,6 +53,8 @@ __all__ = [
     "profile_for",
     "profile_for_spec",
     "plan_for_spec",
+    "plan_from_sampling",
+    "prefetcher_for",
     "compute_run",
     "run_spec",
     "set_cache",
@@ -186,6 +181,36 @@ def profile_for_spec(spec: ExperimentSpec) -> WorkloadProfile:
     return profile_for(spec.workload, spec.input_set, spec.scale)
 
 
+#: Plan kind -> MDDLI analysis settings; ``None`` plans with the
+#: stride-centric baseline (Luk'02/Wu'02-style insertion) instead.
+_PLANNERS: dict[str, OptimizerSettings | None] = {
+    "sw": OptimizerSettings(enable_bypass=False),
+    "swnt": OptimizerSettings(enable_bypass=True),
+    "stride": None,
+    "swi": OptimizerSettings(enable_bypass=False, enable_indirect=True),
+}
+
+
+def plan_from_sampling(
+    kind: str, sampling: SamplingResult, machine: MachineConfig,
+    refs_per_pc=None, indirect_pairs=None,
+) -> OptimizationReport:
+    """Prefetch plan of one of :data:`PLAN_KINDS` from a sampled profile.
+
+    ``refs_per_pc`` and ``indirect_pairs`` describe the profiled program;
+    without them (an inline trace has none) ``swi`` has no ``A[B[i]]``
+    pairs to resolve and degrades to the plain rewrite.
+    """
+    if kind not in PLAN_KINDS:
+        raise ExperimentError(f"unknown plan kind {kind!r}; valid: {PLAN_KINDS}")
+    settings = _PLANNERS[kind]
+    if settings is None:
+        return stride_centric_plan(sampling, machine)
+    return PrefetchOptimizer(machine, settings).analyze(
+        sampling, refs_per_pc=refs_per_pc, indirect_pairs=indirect_pairs
+    )
+
+
 @lru_cache(maxsize=256)
 def _plan(name: str, machine_name: str, kind: str, scale: float) -> OptimizationReport:
     """Prefetch plan of one method for one workload on one machine.
@@ -194,27 +219,14 @@ def _plan(name: str, machine_name: str, kind: str, scale: float) -> Optimization
     methodology), but the *profiled scale* matches the evaluated scale so
     distances stay consistent — hence no ``input_set`` in the key.
     """
-    if kind not in PLAN_KINDS:
-        raise ExperimentError(f"unknown plan kind {kind!r}; valid: {PLAN_KINDS}")
     profile = profile_for(name, "ref", scale)
     machine = get_machine(machine_name)
     with obs.span(
         "plan.derive", workload=name, machine=machine_name, kind=kind
     ):
-        if kind == "stride":
-            return stride_centric_plan(profile.sampling, machine)
-        settings = OptimizerSettings(
-            enable_bypass=(kind == "swnt"),
-            enable_indirect=(kind == "swi"),
-        )
-        optimizer = PrefetchOptimizer(machine, settings)
-        indirect_pairs = (
-            profile.program.indirect_pairs() if kind == "swi" else None
-        )
-        return optimizer.analyze(
-            profile.sampling,
-            refs_per_pc=profile.program.refs_per_pc(),
-            indirect_pairs=indirect_pairs,
+        program = profile.program
+        return plan_from_sampling(
+            kind, profile.sampling, machine, program.refs_per_pc(), program.indirect_pairs()
         )
 
 
@@ -233,6 +245,23 @@ def hw_prefetcher_for(machine: MachineConfig, utilisation=None):
     if "amd" in machine.name:
         return amd_hw_prefetcher(machine.line_bytes, utilisation)
     return intel_hw_prefetcher(machine.line_bytes, utilisation)
+
+
+def prefetcher_for(
+    row: ConfigRow, machine: MachineConfig, program: Program, utilisation=None, hw=None
+):
+    """The hardware prefetcher a configuration row names, or ``None``.
+
+    ``utilisation`` throttles the machine's prefetcher (built by ``hw``,
+    default :func:`hw_prefetcher_for`).  The cross-core helper for
+    ``program`` fills the shared LLC on the memory side, untouched by
+    off-chip back-off in the paper's sense, so it runs unthrottled.
+    """
+    if row.prefetcher is None:
+        return None
+    if row.prefetcher == "xcore":
+        return cross_core_prefetcher_for(program, machine)
+    return (hw or hw_prefetcher_for)(machine, utilisation)
 
 
 @lru_cache(maxsize=64)
@@ -271,32 +300,19 @@ def compute_run(spec: ExperimentSpec) -> RunStats:
         faults.check("worker.sigkill", spec)
     with obs.span("cell.compute", cell=spec.label()):
         machine = get_machine(spec.machine)
-
-        if spec.config in ("baseline", "hw", "hwcoord", "hwrl", "hwx"):
-            execution = profile_for_spec(spec).execution
-        else:
+        row = CONFIG_TABLE[spec.config]
+        profile = profile_for_spec(spec)
+        execution = profile.execution
+        if row.plan is not None:
             execution = _rewritten_execution(
-                spec.workload,
-                spec.input_set,
-                spec.scale,
-                spec.machine,
-                spec.plan_kind,
+                spec.workload, spec.input_set, spec.scale, spec.machine, row.plan
             )
 
         # Build the hierarchy fully wired: the batched fast path is
         # chosen at construction from the attached prefetcher, so the
         # prefetcher must not be bolted on afterwards.
         bandwidth = BandwidthModel(machine.bytes_per_cycle())
-        prefetcher = None
-        if spec.config in ("hw", "hwsw", "hwcoord", "hwrl"):
-            prefetcher = hw_prefetcher_for(machine, bandwidth.utilisation)
-        elif spec.config == "hwx":
-            # Cross-core helper prefetching is untouched by off-chip
-            # back-off in the paper's sense (it fills the shared LLC on
-            # the memory side), so it runs unthrottled.
-            prefetcher = cross_core_prefetcher_for(
-                profile_for_spec(spec).program, machine
-            )
+        prefetcher = prefetcher_for(row, machine, profile.program, bandwidth.utilisation)
         hierarchy = CacheHierarchy(
             machine, prefetcher=prefetcher, bandwidth=bandwidth
         )
@@ -365,9 +381,3 @@ def clear_memo() -> None:
     _plan.cache_clear()
     _rewritten_execution.cache_clear()
 
-
-# The historical stringly-typed five-positional-argument entry points
-# (``profile_workload``/``plan_for``/``run_config``/``run_all_configs``)
-# were deprecated when the ExperimentSpec API landed, tombstoned for two
-# releases, and are now plain AttributeErrors.  The spec-first facade on
-# :mod:`repro.api` is the only public surface.

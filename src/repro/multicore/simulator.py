@@ -56,9 +56,6 @@ class MulticoreResult:
     total_bytes: int
     makespan_cycles: float
 
-    def core_cycles(self) -> list[float]:
-        return [s.cycles for s in self.per_core]
-
     def achieved_bandwidth_gbs(self, freq_ghz: float) -> float:
         """Average off-chip bandwidth over the mix's makespan."""
         if self.makespan_cycles <= 0:

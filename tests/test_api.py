@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.api import CONFIGS, ExperimentSpec, plan, profile, run
+from repro.api import CONFIGS, PLAN_KINDS, ExperimentSpec, config_row, plan, profile, run
+from repro.config import get_machine
 from repro.errors import ExperimentError
-from repro.experiments import runner
+from repro.experiments import mixes_common, runner
+from repro.multicore.coordinator import HeuristicCoordinator, RLCoordinator
 
 SCALE = 0.05
 
@@ -53,7 +55,8 @@ class TestSpecDerivedViews:
     @pytest.mark.parametrize(
         "config,kind",
         [("baseline", None), ("hw", None), ("sw", "sw"), ("swnt", "swnt"),
-         ("stride", "stride"), ("hwsw", "swnt")],
+         ("stride", "stride"), ("hwsw", "swnt"), ("hwcoord", None),
+         ("hwrl", None), ("swi", "swi"), ("hwx", None)],
     )
     def test_plan_kind(self, config, kind):
         assert ExperimentSpec("mcf", "amd-phenom-ii", config).plan_kind == kind
@@ -95,6 +98,57 @@ class TestFacade:
         hwsw = plan(ExperimentSpec("libquantum", "amd-phenom-ii", "hwsw", scale=SCALE))
         swnt = plan(ExperimentSpec("libquantum", "amd-phenom-ii", "swnt", scale=SCALE))
         assert hwsw is swnt
+
+
+class TestConfigTable:
+    """Pins what every configuration means, as its consumers read it."""
+
+    #: config -> (plan kind, prefetcher, throttled in solo cells,
+    #: coordinator type, baseline needed by evaluate_mixes)
+    EXPECTED = {
+        "baseline": (None, None, False, None, False),
+        "hw": (None, "machine", True, None, True),
+        "sw": ("sw", None, False, None, False),
+        "swnt": ("swnt", None, False, None, False),
+        "stride": ("stride", None, False, None, False),
+        "hwsw": ("swnt", "machine", True, None, False),
+        "hwcoord": (None, "machine", True, HeuristicCoordinator, True),
+        "hwrl": (None, "machine", True, RLCoordinator, True),
+        "swi": ("swi", None, False, None, False),
+        "hwx": (None, "xcore", False, None, False),
+    }
+
+    def test_rows(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            runner, "hw_prefetcher_for",
+            lambda machine, utilisation=None: built.append(("machine", utilisation)),
+        )
+        monkeypatch.setattr(
+            runner, "cross_core_prefetcher_for",
+            lambda program, machine: built.append(("xcore", None)),
+        )
+        machine = get_machine("amd-phenom-ii")
+        utilisation = object()
+        assert tuple(self.EXPECTED) == CONFIGS
+        for config, expected in self.EXPECTED.items():
+            row = config_row(config)
+            built.clear()
+            runner.prefetcher_for(row, machine, program=None, utilisation=utilisation)
+            coordinator = mixes_common.coordinator_for(config)
+            assert (
+                row.plan,
+                built[0][0] if built else None,
+                bool(built) and built[0][1] is utilisation,
+                None if coordinator is None else type(coordinator),
+                config in mixes_common.HW_CONFIGS,
+            ) == expected, config
+        assert mixes_common.HW_CONFIGS == ("hw", "hwcoord", "hwrl")
+        assert set(runner._PLANNERS) == set(PLAN_KINDS)
+
+    def test_unknown_config_row(self):
+        with pytest.raises(ExperimentError, match="unknown config 'quantum'"):
+            config_row("quantum")
 
 
 class TestRemovedShims:

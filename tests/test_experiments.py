@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import CONFIGS, ExperimentSpec, plan, profile, run_many
 from repro.errors import ExperimentError
+from repro.experiments import fig12_parallel
 from repro.experiments.fig3_mrc import run_fig3
 from repro.experiments.fig4_speedup import POLICIES, average_row, render_fig4, run_fig4
 from repro.experiments.fig7_mixes import fig7_summary, run_fig7
@@ -12,6 +13,7 @@ from repro.experiments.fig8_mix_detail import run_fig8
 from repro.experiments.mixes_common import app_profile, evaluate_mix
 from repro.experiments.table1_coverage import coverage_for
 from repro.experiments.tables import render_series, render_table
+from repro.isa.rewriter import insert_prefetches
 from repro.workloads.mixes import Mix
 
 SCALE = 0.08
@@ -103,6 +105,40 @@ class TestDrivers:
         result = run_fig8("intel-i7-2600k", mix=mix, scale=SCALE)
         assert len(result.speedups["swnt"]) == 2
         assert result.bandwidth["hw"] > 0
+
+    def test_fig8_simulates_plan_and_prefetcher_of_each_config(self):
+        mix = Mix(-1, ("pagerank", "libquantum"), ("ref", "ref"))
+        result = run_fig8("intel-i7-2600k", mix, SCALE, ("hwsw", "swnt", "hw", "swi", "hwx"))
+        sp = result.speedups
+        assert sp["hwsw"] not in (sp["swnt"], sp["hw"])
+        assert sp["swi"][0] > 0  # pagerank's A[B[i]] rewrite
+        assert sp["hwx"][0] > 0  # pagerank's cross-core helper
+
+    @pytest.mark.parametrize(
+        "configs,message",
+        [(("hwsw", "bogus", "hw"), "unknown config 'bogus'"),
+         (("hwcoord",), "'hwcoord'"), (("hwrl",), "'hwrl'")],
+    )
+    def test_fig8_rejects_configs_it_cannot_simulate(self, configs, message):
+        mix = Mix(-1, ("mcf", "libquantum"), ("ref", "ref"))
+        with pytest.raises(ExperimentError, match=message):
+            run_fig8("intel-i7-2600k", mix, SCALE, configs)
+
+    def test_fig12_sw_plans_without_bypass(self, monkeypatch):
+        plans = []
+
+        def recording_insert(program, plan):
+            plans.append(plan)
+            return insert_prefetches(program, plan)
+
+        monkeypatch.setattr(fig12_parallel, "insert_prefetches", recording_insert)
+        for config in ("sw", "swnt"):
+            fig12_parallel._run_parallel("swim", 1, "intel-i7-2600k", config, 0.05)
+        sw, swnt = plans
+        assert sw.decisions and not any(d.nta for d in sw.decisions)
+        assert any(d.nta for d in swnt.decisions)
+        with pytest.raises(ExperimentError, match="'hwrl'"):
+            fig12_parallel._run_parallel("swim", 1, "intel-i7-2600k", "hwrl", 0.05)
 
 
 class TestCombinedAndBars:
