@@ -33,7 +33,6 @@ from dataclasses import dataclass, fields, replace
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from repro.cachesim.options import SimOptions
 from repro.errors import ExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,7 +54,6 @@ __all__ = [
     "AdvisorRequest",
     "AdvisorResponse",
     "validate_tenant",
-    "SimOptions",
     "profile",
     "plan",
     "run",
@@ -593,14 +591,12 @@ def configure(
     strict: bool = True,
     trace: bool = False,
     deterministic_trace: bool = False,
-    sim_options: SimOptions | None = None,
     cache_quota: int | None = None,
-    **removed,
 ) -> "ExperimentEngine":
     """Install and return the process-wide default engine.
 
-    Parameters mirror :class:`ExperimentEngine`, plus observability and
-    simulation knobs:
+    Parameters mirror :class:`ExperimentEngine`, plus observability
+    knobs:
 
     trace:
         Enable the tracing/metrics layer (:mod:`repro.obs`) for this
@@ -610,33 +606,14 @@ def configure(
     deterministic_trace:
         Use the virtual clock so exported traces are byte-stable across
         runs (implies ``trace``).
-    sim_options:
-        :class:`SimOptions` installed as the process-wide default for
-        every simulator in this process and the engine's workers
-        (precedence: explicit constructor arg > config spec > this
-        default; see ``docs/simulators.md``).  ``None`` leaves the
-        current default untouched.
     cache_quota:
         Size budget in bytes for the on-disk result cache; the engine
         evicts least-recently-used entries past it at startup and after
         every store (``None`` = unbounded).
     """
     from repro import obs
-    from repro.cachesim.options import set_default_options
     from repro.experiments import engine as _engine
 
-    if removed:
-        # The sim_backend= alias finished its deprecation cycle; give
-        # stale callers a pointed migration error, not a silent kwarg.
-        if "sim_backend" in removed:
-            raise ExperimentError(
-                "configure(sim_backend=...) was removed; pass "
-                "configure(sim_options=SimOptions(backend=...)) instead"
-            )
-        unknown = ", ".join(sorted(removed))
-        raise TypeError(f"configure() got unexpected keyword argument(s): {unknown}")
-    if sim_options is not None:
-        set_default_options(sim_options)
     if trace or deterministic_trace:
         obs.enable(deterministic=deterministic_trace)
     return _engine.configure(

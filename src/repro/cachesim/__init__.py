@@ -1,7 +1,6 @@
 """Cache simulation substrate: LRU caches, hierarchies, bandwidth model."""
 
 from repro.cachesim.bandwidth import BandwidthModel
-from repro.cachesim.fastlru import FastLRUCache
 from repro.cachesim.functional import FunctionalCacheSim, simulate_miss_ratios
 from repro.cachesim.hierarchy import CacheHierarchy
 from repro.cachesim.lru import (
@@ -12,30 +11,17 @@ from repro.cachesim.lru import (
     FLAG_SW_PREFETCH,
     LRUCache,
 )
-from repro.cachesim.options import (
-    BACKENDS,
-    SimOptions,
-    get_default_options,
-    resolve_options,
-    set_default_options,
-)
 from repro.cachesim.stats import LevelStats, PCStats, RunStats
 
 __all__ = [
-    "BACKENDS",
     "BandwidthModel",
     "CacheHierarchy",
-    "FastLRUCache",
     "FunctionalCacheSim",
     "simulate_miss_ratios",
     "LRUCache",
     "LevelStats",
     "PCStats",
     "RunStats",
-    "SimOptions",
-    "get_default_options",
-    "resolve_options",
-    "set_default_options",
     "FLAG_DIRTY",
     "FLAG_HW_PREFETCH",
     "FLAG_NTA",
@@ -43,24 +29,3 @@ __all__ = [
     "FLAG_SW_PREFETCH",
 ]
 
-
-#: The repro.cachesim.backend shim module finished its deprecation
-#: cycle (the SimOptions migration); its helpers now raise with a
-#: pointer at the replacement instead of silently missing.
-_REMOVED = {
-    "get_default_backend": "get_default_options().backend",
-    "set_default_backend": "set_default_options(SimOptions(backend=...))",
-    "resolve_backend": "resolve_options(backend).backend",
-}
-
-
-def __getattr__(name: str):
-    if name in _REMOVED:
-        from repro.errors import ExperimentError
-
-        raise ExperimentError(
-            f"cachesim.{name} was removed with the repro.cachesim.backend "
-            f"shim; use repro.cachesim.options.{_REMOVED[name]} (or "
-            "configure(sim_options=SimOptions(...)) via repro.api) instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

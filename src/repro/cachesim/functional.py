@@ -6,15 +6,10 @@ accesses of a trace and reports exact per-instruction miss counts.  Both
 Table I (prefetch coverage) and the StatStack validation experiment
 compare model output against this simulator.
 
-Two interchangeable backends implement the simulation (see
-``docs/performance.md``):
-
-* ``"reference"`` — the original per-event loop over the dict-based
-  :class:`~repro.cachesim.lru.LRUCache`;
-* ``"fast"`` — the batched :meth:`FastLRUCache.access_batch
-  <repro.cachesim.fastlru.FastLRUCache.access_batch>` kernel, which
-  processes the whole trace as arrays and is bit-identical by
-  construction *and* by test (``tests/test_sim_backend_diff.py``).
+The simulation is one per-event loop over the dict-based
+:class:`~repro.cachesim.lru.LRUCache`.  ``repro validate`` checks it
+against an independent oracle: LRU stack distances, computed per set
+(``repro.validate.differential``).
 """
 
 from __future__ import annotations
@@ -24,9 +19,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cachesim.fastlru import FastLRUCache
 from repro.cachesim.lru import LRUCache
-from repro.cachesim.options import resolve_options
 from repro.cachesim.stats import PCStats
 from repro.config import CacheConfig
 from repro.errors import SimulationError
@@ -49,23 +42,12 @@ class FunctionalCacheSim:
     Parameters
     ----------
     config:
-        Cache geometry.  ``config.backend`` (when set) selects the
-        simulation backend for this level.
-    backend:
-        Explicit backend override: ``"reference"`` or ``"fast"``; by
-        default the config's choice, falling back to the process-wide
-        default (:func:`repro.cachesim.options.set_default_options` —
-        precedence explicit > spec > default).
+        Cache geometry.
     """
 
-    def __init__(self, config: CacheConfig, backend: str | None = None) -> None:
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.backend = resolve_options(
-            backend, getattr(config, "backend", None)
-        ).backend
-        self.cache = (
-            FastLRUCache(config) if self.backend == "fast" else LRUCache(config)
-        )
+        self.cache = LRUCache(config)
         self.stats = PCStats()
         #: Per-event miss vector of the most recent :meth:`run` (over the
         #: simulated view: demand-only unless ``honor_prefetches``).
@@ -99,23 +81,11 @@ class FunctionalCacheSim:
         pcs = view.pc
         is_demand = view.demand_mask
         with obs.span(
-            "cachesim.functional",
-            backend=self.backend,
-            level=self.config.name,
-            events=len(view),
+            "cachesim.functional", level=self.config.name, events=len(view)
         ):
-            if self.backend == "fast":
-                miss, victims = self.cache.access_batch(
-                    lines, collect_victims=collect_victims
-                )
-            else:
-                miss, victims = self._run_reference(
-                    lines, is_demand, collect_victims
-                )
+            miss, victims = self._run_reference(lines, is_demand, collect_victims)
             if obs.enabled():
-                obs.metrics().counter(f"sim.functional.events.{self.backend}").inc(
-                    len(view)
-                )
+                obs.metrics().counter("sim.functional.events").inc(len(view))
         self.last_miss = miss
         self.last_victims = victims
         self.stats.record_bulk(pcs[is_demand], miss[is_demand])
@@ -131,7 +101,7 @@ class FunctionalCacheSim:
         hits a resident line promotes it to MRU, like real hardware) —
         they differ only in which rows feed the per-PC stats, which the
         caller filters.  Kept in the original one-event-at-a-time form
-        on purpose: this is the oracle the fast backend is checked
+        on purpose: this is the ground truth StatStack is checked
         against, so clarity beats speed here.
         """
         cache = self.cache
@@ -162,7 +132,6 @@ def fully_associative_config(
     size_bytes: int,
     line_bytes: int = 64,
     name: str = "FA",
-    backend: str | None = None,
 ) -> CacheConfig:
     """A fully associative cache of ``size_bytes`` (``ways == num_lines``).
 
@@ -179,7 +148,6 @@ def fully_associative_config(
         size_bytes=size_bytes,
         ways=size_bytes // line_bytes,
         line_bytes=line_bytes,
-        backend=backend,
     )
 
 
@@ -187,7 +155,6 @@ def simulate_miss_ratio_curve(
     trace: MemoryTrace,
     sizes_bytes: Sequence[int] | np.ndarray,
     line_bytes: int = 64,
-    backend: str | None = None,
 ) -> "MissRatioCurve":
     """Exact fully-associative LRU miss-ratio curve of ``trace``.
 
@@ -202,9 +169,7 @@ def simulate_miss_ratio_curve(
     ratios = []
     with obs.span("cachesim.mrc", sizes=len(sizes_bytes), events=len(demand)):
         for size in sizes_bytes:
-            sim = FunctionalCacheSim(
-                fully_associative_config(int(size), line_bytes), backend=backend
-            )
+            sim = FunctionalCacheSim(fully_associative_config(int(size), line_bytes))
             stats = sim.run(demand)
             ratios.append(stats.overall_miss_ratio())
     return MissRatioCurve(np.asarray(sizes_bytes, dtype=np.int64), np.array(ratios))

@@ -22,22 +22,15 @@ This is the workhorse simulator behind the single-benchmark experiments
 
 The per-event loop is deliberately written with localised variables and
 O(1) dict-based cache operations; simulating a 500k-event trace through
-all three levels takes on the order of a second.
+all three levels takes on the order of a second.  It is the only
+hierarchy simulator; ``tests/test_hierarchy_digests.py`` pins its
+results on seeded traces for every event kind and prefetcher model.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import obs
 from repro.cachesim.bandwidth import BandwidthModel
-from repro.cachesim.fastlru import (
-    OP_DEMAND,
-    OP_FILL,
-    OP_PROBE,
-    OP_TOUCH,
-    FastLRUCache,
-)
 from repro.cachesim.lru import (
     FLAG_DIRTY,
     FLAG_HW_PREFETCH,
@@ -46,7 +39,6 @@ from repro.cachesim.lru import (
     FLAG_SW_PREFETCH,
     LRUCache,
 )
-from repro.cachesim.options import SimOptions, resolve_options
 from repro.cachesim.stats import RunStats
 from repro.config import MachineConfig
 from repro.errors import SimulationError
@@ -54,19 +46,6 @@ from repro.hwpref.base import HardwarePrefetcher, NullPrefetcher
 from repro.trace.events import MemOp, MemoryTrace
 
 __all__ = ["CacheHierarchy"]
-
-#: Demand runs shorter than this are replayed through the scalar event
-#: handlers: the batched pipeline's fixed per-call cost (a dozen array
-#: allocations and sorts) outweighs its throughput below this length.
-MIN_BATCH_RUN = 48
-
-#: Stream minor key of the demand access itself; hardware-prefetch
-#: requests use their per-event issue index (< this) so they sort first,
-#: and the L1-victim touch sorts after the demand at ``+ 1``.
-_MINOR_DA = 1 << 20
-
-#: Timing-op sequence key of the demand access within one event.
-_SEQ_DA = 1 << 22
 
 
 class CacheHierarchy:
@@ -86,10 +65,6 @@ class CacheHierarchy:
     llc:
         Pass a pre-built LLC to share it between hierarchies (multicore
         mode); by default a private LLC is created.
-    options:
-        :class:`~repro.cachesim.options.SimOptions` (or a bare backend
-        name) overriding ``machine.sim_backend`` and the process
-        default.  Precedence: explicit arg > spec > process default.
     """
 
     def __init__(
@@ -98,32 +73,16 @@ class CacheHierarchy:
         prefetcher: HardwarePrefetcher | None = None,
         bandwidth: BandwidthModel | None = None,
         llc: LRUCache | None = None,
-        options: SimOptions | str | None = None,
     ) -> None:
         self.machine = machine
         self.prefetcher = prefetcher if prefetcher is not None else NullPrefetcher()
-        self._explicit_options = options
-        opts = resolve_options(options, machine.sim_backend)
-        # The batched whole-hierarchy path needs array-backed levels; it
-        # is only worth building them when the attached prefetcher can be
-        # observed in batch (throttled prefetchers cannot — they sample
-        # time-varying bandwidth utilisation per access) and the LLC is
-        # private (a shared LLC interleaves accesses from other cores).
-        batch_capable = (
-            opts.backend == "fast"
-            and opts.batch_hierarchy
-            and llc is None
-            and self.prefetcher.batch_safe
-        )
-        cache_cls = FastLRUCache if batch_capable else LRUCache
-        self.l1 = cache_cls(machine.l1)
-        self.l2 = cache_cls(machine.l2)
-        self.llc = llc if llc is not None else cache_cls(machine.llc)
+        self.l1 = LRUCache(machine.l1)
+        self.l2 = LRUCache(machine.l2)
+        self.llc = llc if llc is not None else LRUCache(machine.llc)
         self.bandwidth = (
             bandwidth if bandwidth is not None else BandwidthModel(machine.bytes_per_cycle())
         )
         self.now: float = 0.0
-        self.last_run_path: str | None = None
         self._inflight: dict[int, float] = {}
         self._line_shift = machine.line_bytes.bit_length() - 1
         # write-combining buffer for non-temporal stores (4 entries,
@@ -164,42 +123,12 @@ class CacheHierarchy:
             raise SimulationError("work_per_memop must be non-negative")
         if stats is None:
             stats = RunStats(line_bytes=self.machine.line_bytes)
-        opts = resolve_options(self._explicit_options, self.machine.sim_backend)
-        backend = opts.backend
-        if backend == "fast":
-            if (
-                opts.batch_hierarchy
-                and isinstance(self.l1, FastLRUCache)
-                and self.prefetcher.batch_safe
-            ):
-                path = "batch"
-            elif isinstance(self.l1, LRUCache):
-                path = "chunked"
-            else:
-                # Array-backed caches but a prefetcher that turned
-                # batch-unsafe after construction: fall back to the
-                # scalar loop (correct on either cache class).
-                path = "scalar"
-        else:
-            path = "scalar"
-        self.last_run_path = path
         with obs.span(
-            "cachesim.run",
-            machine=self.machine.name,
-            events=len(trace),
-            backend=backend,
-            path=path,
+            "cachesim.run", machine=self.machine.name, events=len(trace)
         ) as run_span:
-            if path == "batch":
-                self._run_events_batch(trace, work_per_memop, mlp, stats)
-            elif path == "chunked":
-                self._run_events_fast(trace, work_per_memop, mlp, stats)
-            else:
-                self._run_events(trace, work_per_memop, mlp, stats)
+            self._run_events(trace, work_per_memop, mlp, stats)
             if obs.enabled():
-                metrics = obs.metrics()
-                metrics.counter(f"sim.hierarchy.events.{backend}").inc(len(trace))
-                metrics.counter(f"sim.hierarchy.path.{path}").inc()
+                obs.metrics().counter("sim.hierarchy.events").inc(len(trace))
             run_span.set(cycles=stats.cycles)
         return stats
 
@@ -239,620 +168,6 @@ class CacheHierarchy:
 
         stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
         stats.cycles = self.now
-
-    def _run_events_fast(
-        self,
-        trace: MemoryTrace,
-        work_per_memop: float,
-        mlp: float,
-        stats: RunStats,
-    ) -> None:
-        """Chunked fast event loop (``sim_backend="fast"``).
-
-        The trace is staged chunk by chunk into plain Python lists (one
-        vectorised line-number conversion, no per-event NumPy scalar
-        extraction) and the dominant L1 demand path is inlined against
-        the set dicts with every attribute hoisted into locals.  Only
-        the rare events — L1 misses, software prefetches, NT stores and
-        hardware-prefetcher observation — fall back to the exact same
-        methods the reference loop uses, with ``self.now`` synced around
-        the call, so timing and statistics stay bit-identical (enforced
-        by ``tests/test_sim_backend_diff.py``).
-        """
-        shift = self._line_shift
-        demand_cost = (
-            self.machine.cycles_per_memop + self.machine.cpi_base * work_per_memop
-        )
-        store_op = int(MemOp.STORE)
-        nta_op = int(MemOp.PREFETCH_NTA)
-        store_nt_op = int(MemOp.STORE_NT)
-        lines_arr = trace.addr >> shift
-
-        l1_sets = self.l1._sets
-        l1_mask = self.l1._set_mask
-        inflight = self._inflight
-        null_pf = isinstance(self.prefetcher, NullPrefetcher)
-        hw_observe = self._hw_observe
-        demand_miss = self._demand_miss
-        pc_acc = stats.pc_l1.accesses
-        pc_miss = stats.pc_l1.misses
-        ref_flag = FLAG_REFERENCED
-        dirty_flag = FLAG_DIRTY
-        sw_flag = FLAG_SW_PREFETCH
-
-        n_demand = 0
-        n_prefetch = 0
-        l1_accesses = 0
-        l1_misses = 0
-        sw_useful = 0
-        sw_late = 0
-        now = self.now
-        chunk = 1 << 16
-        for start in range(0, len(trace), chunk):
-            end = start + chunk
-            ops_c = trace.op[start:end].tolist()
-            pcs_c = trace.pc[start:end].tolist()
-            lines_c = lines_arr[start:end].tolist()
-            addrs_c = trace.addr[start:end].tolist() if not null_pf else None
-            for j, op in enumerate(ops_c):
-                line = lines_c[j]
-                if op <= store_op:
-                    n_demand += 1
-                    now += demand_cost
-                    l1_accesses += 1
-                    pc = pcs_c[j]
-                    write_flag = dirty_flag if op == store_op else 0
-                    s = l1_sets[line & l1_mask]
-                    flags = s.pop(line, None)
-                    if flags is not None:
-                        if inflight:
-                            completion = inflight.pop(line, None)
-                            if completion is not None and completion > now:
-                                now += (completion - now) / mlp
-                                sw_late += 1
-                        if flags & sw_flag and not flags & ref_flag:
-                            sw_useful += 1
-                        s[line] = flags | ref_flag | write_flag
-                        pc_acc[pc] = pc_acc.get(pc, 0) + 1
-                        if not null_pf:
-                            self.now = now
-                            hw_observe(pc, addrs_c[j], line, True, stats)
-                    else:
-                        l1_misses += 1
-                        pc_acc[pc] = pc_acc.get(pc, 0) + 1
-                        pc_miss[pc] = pc_miss.get(pc, 0) + 1
-                        self.now = now
-                        if not null_pf:
-                            hw_observe(pc, addrs_c[j], line, False, stats)
-                        demand_miss(line, write_flag, mlp, stats)
-                        now = self.now
-                elif op == store_nt_op:
-                    n_demand += 1
-                    self.now = now
-                    self._nt_store(pcs_c[j], line, demand_cost, stats)
-                    now = self.now
-                else:
-                    n_prefetch += 1
-                    self.now = now
-                    self._sw_prefetch(line, op == nta_op, stats)
-                    now = self.now
-
-        self.now = now
-        stats.l1.accesses += l1_accesses
-        stats.l1.misses += l1_misses
-        stats.sw_useful += sw_useful
-        stats.sw_late += sw_late
-        stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
-        stats.cycles = self.now
-
-    def _run_events_batch(
-        self,
-        trace: MemoryTrace,
-        work_per_memop: float,
-        mlp: float,
-        stats: RunStats,
-    ) -> None:
-        """Batched whole-hierarchy event loop (the ``batch`` path).
-
-        The trace is split into maximal *demand runs* (consecutive
-        loads/stores); software prefetches and NT stores between runs go
-        through the exact scalar handlers.  Each long run is replayed as
-        five array passes — L1 wavefront, batched prefetcher
-        observation, an ordered L2 op stream, an ordered LLC op stream,
-        and a merged timing stream — constructed so that every cache
-        probe, install, writeback and bandwidth reservation happens in
-        precisely the order the scalar loop would produce it.  Timing is
-        then accumulated over *interesting* events only (misses,
-        prefetch fills, in-flight-line hits); the hit gaps between them
-        are pure ``+= demand_cost`` sequences.  Bit-identity with the
-        reference loop is enforced by ``tests/test_sim_backend_diff.py``.
-        """
-        shift = self._line_shift
-        demand_cost = (
-            self.machine.cycles_per_memop + self.machine.cpi_base * work_per_memop
-        )
-        store_op = int(MemOp.STORE)
-        nta_op = int(MemOp.PREFETCH_NTA)
-        store_nt_op = int(MemOp.STORE_NT)
-        ops = trace.op
-        pcs = trace.pc
-        lines_arr = trace.addr >> shift
-        n = len(trace)
-
-        n_demand = 0
-        n_prefetch = 0
-        seg_start = 0
-        for p in np.nonzero(ops > store_op)[0].tolist():
-            if p > seg_start:
-                self._batch_demand_run(
-                    trace, lines_arr, seg_start, p, demand_cost, mlp, stats
-                )
-                n_demand += p - seg_start
-            op = int(ops[p])
-            if op == store_nt_op:
-                n_demand += 1
-                self._nt_store(int(pcs[p]), int(lines_arr[p]), demand_cost, stats)
-            else:
-                n_prefetch += 1
-                self._sw_prefetch(int(lines_arr[p]), op == nta_op, stats)
-            seg_start = p + 1
-        if n > seg_start:
-            self._batch_demand_run(
-                trace, lines_arr, seg_start, n, demand_cost, mlp, stats
-            )
-            n_demand += n - seg_start
-
-        stats.instructions += int(n_demand * (1.0 + work_per_memop)) + n_prefetch
-        stats.cycles = self.now
-
-    def _batch_demand_run(
-        self,
-        trace: MemoryTrace,
-        lines_arr: np.ndarray,
-        a: int,
-        b: int,
-        demand_cost: float,
-        mlp: float,
-        stats: RunStats,
-    ) -> None:
-        """Replay demand events ``[a, b)`` through the array pipeline."""
-        n_run = b - a
-        store_op = int(MemOp.STORE)
-        if n_run < MIN_BATCH_RUN:
-            pcs_l = trace.pc[a:b].tolist()
-            addrs_l = trace.addr[a:b].tolist()
-            lines_l = lines_arr[a:b].tolist()
-            ops_l = trace.op[a:b].tolist()
-            for j in range(n_run):
-                self._demand_access(
-                    pcs_l[j],
-                    addrs_l[j],
-                    lines_l[j],
-                    ops_l[j] == store_op,
-                    demand_cost,
-                    mlp,
-                    stats,
-                )
-            return
-
-        machine = self.machine
-        pcs = trace.pc[a:b]
-        addrs = trace.addr[a:b]
-        lines = lines_arr[a:b]
-        is_store = trace.op[a:b] == store_op
-        oflags_da = np.where(
-            is_store, FLAG_REFERENCED | FLAG_DIRTY, FLAG_REFERENCED
-        ).astype(np.int64)
-
-        # ---- pass 1: L1 demand wavefront --------------------------------
-        hit1, prior1, v1i, v1l, v1f = self.l1.ops_batch(
-            lines, np.zeros(n_run, dtype=np.uint8), oflags_da
-        )
-        miss1 = ~hit1
-        mp = np.nonzero(miss1)[0]
-        stats.l1.accesses += n_run
-        stats.l1.misses += len(mp)
-        stats.pc_l1.record_bulk(pcs, miss1)
-        stats.sw_useful += int(
-            np.count_nonzero(
-                hit1
-                & ((prior1 & FLAG_SW_PREFETCH) != 0)
-                & ((prior1 & FLAG_REFERENCED) == 0)
-            )
-        )
-        stats.sw_useless += int(
-            np.count_nonzero(
-                ((v1f & FLAG_SW_PREFETCH) != 0) & ((v1f & FLAG_REFERENCED) == 0)
-            )
-        )
-        v1_nta = (v1f & FLAG_NTA) != 0
-        v1_dirty = (v1f & FLAG_DIRTY) != 0
-
-        # ---- pass 2: batched prefetcher observation ---------------------
-        if isinstance(self.prefetcher, NullPrefetcher):
-            h_ev = np.empty(0, dtype=np.int64)
-            h_line = np.empty(0, dtype=np.int64)
-            h_fill = np.empty(0, dtype=bool)
-        else:
-            h_ev, h_line, h_fill = self.prefetcher.observe_batch(
-                pcs, addrs, lines, hit1
-            )
-        m_h = len(h_ev)
-        if m_h:
-            # Per-event issue index j of each request: requests sort
-            # before the demand access (minor j < _MINOR_DA) and encode
-            # their within-event timing slots as (j + 1) * 8.
-            hm_idx = np.arange(m_h)
-            new_grp = np.empty(m_h, dtype=bool)
-            new_grp[0] = True
-            new_grp[1:] = h_ev[1:] != h_ev[:-1]
-            h_j = hm_idx - np.maximum.accumulate(np.where(new_grp, hm_idx, 0))
-        else:
-            h_j = np.empty(0, dtype=np.int64)
-
-        # ---- pass 3: ordered L2 op stream -------------------------------
-        # Per event, in scalar order: prefetch requests (fill or probe,
-        # by issue index), then the demand access, then the L1 victim's
-        # dirty touch.  OP_FILL reproduces _hw_observe's contains-then-
-        # install; OP_TOUCH reproduces touch_flags.
-        td1 = (~v1_nta) & v1_dirty
-        n_td1 = int(np.count_nonzero(td1))
-        l2_pos = np.concatenate((h_ev, mp, v1i[td1]))
-        l2_minor = np.concatenate(
-            (
-                h_j,
-                np.full(len(mp), _MINOR_DA, dtype=np.int64),
-                np.full(n_td1, _MINOR_DA + 1, dtype=np.int64),
-            )
-        )
-        l2_line = np.concatenate((h_line, lines[mp], v1l[td1]))
-        l2_kind = np.concatenate(
-            (
-                np.where(h_fill, OP_FILL, OP_PROBE).astype(np.uint8),
-                np.full(len(mp), OP_DEMAND, dtype=np.uint8),
-                np.full(n_td1, OP_TOUCH, dtype=np.uint8),
-            )
-        )
-        l2_of = np.concatenate(
-            (
-                np.full(m_h, FLAG_HW_PREFETCH, dtype=np.int64),
-                oflags_da[mp],
-                np.full(n_td1, FLAG_DIRTY, dtype=np.int64),
-            )
-        )
-        o2 = np.lexsort((l2_minor, l2_pos))
-        sp2 = l2_pos[o2]
-        sm2 = l2_minor[o2]
-        sl2 = l2_line[o2]
-        so2 = l2_of[o2]
-        hit2, prior2, v2i, v2l, v2f = self.l2.ops_batch(sl2, l2_kind[o2], so2)
-
-        is_h2 = sm2 < _MINOR_DA
-        is_da2 = sm2 == _MINOR_DA
-        is_td2 = sm2 > _MINOR_DA
-        da2_hit = hit2[is_da2]
-        n_l2_miss = int(np.count_nonzero(~da2_hit))
-        stats.l2.accesses += len(mp)
-        stats.l2.misses += n_l2_miss
-        stats.llc.accesses += n_l2_miss
-        stats.hw_prefetches += int(np.count_nonzero(is_h2 & ~hit2))
-        da2_prior = prior2[is_da2]
-        stats.hw_useful += int(
-            np.count_nonzero(
-                da2_hit
-                & ((da2_prior & FLAG_HW_PREFETCH) != 0)
-                & ((da2_prior & FLAG_REFERENCED) == 0)
-            )
-        )
-        v2_dirty = (v2f & FLAG_DIRTY) != 0
-        v2d = np.nonzero(v2_dirty)[0]
-        v2_evpos = sp2[v2i[v2d]]
-        v2_evminor = sm2[v2i[v2d]]
-
-        # ---- pass 4: ordered LLC op stream ------------------------------
-        # Sub-key 1 places each L2 victim's dirty touch right after the
-        # install that evicted it, exactly where the scalar chain runs.
-        h2m = is_h2 & ~hit2
-        d2m = is_da2 & ~hit2
-        t2m = is_td2 & ~hit2
-        n_h2m = int(np.count_nonzero(h2m))
-        n_t2m = int(np.count_nonzero(t2m))
-        llc_pos = np.concatenate((sp2[h2m], sp2[d2m], sp2[t2m], v2_evpos))
-        llc_minor = np.concatenate((sm2[h2m], sm2[d2m], sm2[t2m], v2_evminor))
-        llc_sub = np.concatenate(
-            (
-                np.zeros(n_h2m + n_l2_miss + n_t2m, dtype=np.int64),
-                np.ones(len(v2d), dtype=np.int64),
-            )
-        )
-        llc_line = np.concatenate((sl2[h2m], sl2[d2m], sl2[t2m], v2l[v2d]))
-        llc_kind = np.concatenate(
-            (
-                np.full(n_h2m, OP_FILL, dtype=np.uint8),
-                np.full(n_l2_miss, OP_DEMAND, dtype=np.uint8),
-                np.full(n_t2m + len(v2d), OP_TOUCH, dtype=np.uint8),
-            )
-        )
-        llc_of = np.concatenate(
-            (
-                np.full(n_h2m, FLAG_HW_PREFETCH, dtype=np.int64),
-                so2[d2m],
-                np.full(n_t2m + len(v2d), FLAG_DIRTY, dtype=np.int64),
-            )
-        )
-        o3 = np.lexsort((llc_sub, llc_minor, llc_pos))
-        sp3 = llc_pos[o3]
-        sm3 = llc_minor[o3]
-        sb3 = llc_sub[o3]
-        sl3 = llc_line[o3]
-        hit3, prior3, v3i, v3l, v3f = self.llc.ops_batch(sl3, llc_kind[o3], llc_of[o3])
-
-        is_h3 = (sm3 < _MINOR_DA) & (sb3 == 0)
-        is_da3 = (sm3 == _MINOR_DA) & (sb3 == 0)
-        is_t1_3 = (sm3 > _MINOR_DA) & (sb3 == 0)
-        is_t2_3 = sb3 == 1
-        da3_hit = hit3[is_da3]
-        stats.llc.misses += int(np.count_nonzero(~da3_hit))
-        da3_prior = prior3[is_da3]
-        stats.hw_useful += int(
-            np.count_nonzero(
-                da3_hit
-                & ((da3_prior & FLAG_HW_PREFETCH) != 0)
-                & ((da3_prior & FLAG_REFERENCED) == 0)
-            )
-        )
-        stats.hw_useless += int(
-            np.count_nonzero(
-                ((v3f & FLAG_HW_PREFETCH) != 0) & ((v3f & FLAG_REFERENCED) == 0)
-            )
-        )
-        h3m = is_h3 & ~hit3
-        stats.dram_fills += int(np.count_nonzero(~da3_hit)) + int(
-            np.count_nonzero(h3m)
-        )
-
-        # ---- pass 5: merged timing stream -------------------------------
-        # Codes: 0 prefetch DRAM fill, 1 writeback, 2/3/4 demand served
-        # from L2/LLC/DRAM, 5 L1-victim in-flight drop, 6 in-flight check
-        # on an L1 hit.  Sequence keys replicate the scalar within-event
-        # order (requests, demand, victim chain).
-        if self._inflight or m_h:
-            if self._inflight:
-                keys = np.fromiter(
-                    self._inflight.keys(), dtype=np.int64, count=len(self._inflight)
-                )
-                cand = np.concatenate((keys, h_line)) if m_h else keys
-            else:
-                cand = h_line
-            # Sorted-membership helper: lines outside this candidate set
-            # can never be in flight (only prefetches create entries),
-            # so their events skip the dict probes entirely.
-            cand = np.sort(cand)
-
-            def in_cand(arr: np.ndarray) -> np.ndarray:
-                pos = np.searchsorted(cand, arr).clip(0, len(cand) - 1)
-                return cand[pos] == arr
-
-            hp = np.nonzero(hit1)[0]
-            inf_ev = hp[in_cand(lines[hp])]
-            # L1 victims drop their in-flight entry (code 5); only lines
-            # that were ever prefetched can carry one, so the rest of
-            # the victims need no timing event at all.
-            v5 = in_cand(v1l)
-            v5i = v1i[v5]
-            v5l = v1l[v5]
-            da_inf = in_cand(lines[mp])
-        else:
-            inf_ev = np.empty(0, dtype=np.int64)
-            v5i = np.empty(0, dtype=np.int64)
-            v5l = np.empty(0, dtype=np.int64)
-            da_inf = np.zeros(len(mp), dtype=bool)
-
-        ev_h = sp3[h3m]
-        seq_h = (sm3[h3m] + 1) * 8
-        arg_h = sl3[h3m]
-
-        # Demand codes: 2/3 check the in-flight map before charging the
-        # L2/LLC hit latency; the 7/8 variants are the common case where
-        # the line cannot be in flight and the charge is unconditional.
-        da_code = np.where(da_inf, 2, 7)
-        da_code[~da2_hit] = np.where(
-            da3_hit, np.where(da_inf[~da2_hit], 3, 8), 4
-        )
-
-        v3_dirty = (v3f & FLAG_DIRTY) != 0
-        v3d = np.nonzero(v3_dirty)[0]
-        wb1_ev = sp3[v3i[v3d]]
-        ev1m = sm3[v3i[v3d]]
-        wb1_seq = np.where(ev1m < _MINOR_DA, (ev1m + 1) * 8 + 1, _SEQ_DA + 1)
-        w2 = is_t2_3 & ~hit3
-        wb2_ev = sp3[w2]
-        ev2m = sm3[w2]
-        wb2_seq = np.where(ev2m < _MINOR_DA, (ev2m + 1) * 8 + 2, _SEQ_DA + 2)
-        w3 = is_t1_3 & ~hit3
-        wb3_ev = sp3[w3]
-        w4 = v1_nta & v1_dirty
-        wb4_ev = v1i[w4]
-        n_wb = len(wb1_ev) + len(wb2_ev) + len(wb3_ev) + len(wb4_ev)
-
-        ev_t = np.concatenate(
-            (inf_ev, ev_h, mp, wb1_ev, wb2_ev, wb3_ev, wb4_ev, v5i)
-        )
-        seq_t = np.concatenate(
-            (
-                np.zeros(len(inf_ev), dtype=np.int64),
-                seq_h,
-                np.full(len(mp), _SEQ_DA, dtype=np.int64),
-                wb1_seq,
-                wb2_seq,
-                np.full(len(wb3_ev) + len(wb4_ev), _SEQ_DA + 4, dtype=np.int64),
-                np.full(len(v5i), _SEQ_DA + 3, dtype=np.int64),
-            )
-        )
-        code_t = np.concatenate(
-            (
-                np.full(len(inf_ev), 6, dtype=np.int64),
-                np.zeros(len(ev_h), dtype=np.int64),
-                da_code,
-                np.ones(n_wb, dtype=np.int64),
-                np.full(len(v5i), 5, dtype=np.int64),
-            )
-        )
-        arg_t = np.concatenate(
-            (
-                lines[inf_ev],
-                arg_h,
-                lines[mp],
-                np.zeros(n_wb, dtype=np.int64),
-                v5l,
-            )
-        )
-        t_order = np.lexsort((seq_t, ev_t))
-        ev_s = ev_t[t_order]
-        code_s = code_t[t_order]
-        arg_s = arg_t[t_order]
-
-        # Liveness pass: a pop can only find an in-flight entry when the
-        # immediately preceding inflight-relevant event on the same line
-        # (in processing order) was a prefetch fill, or the line entered
-        # the run already in flight.  Pops that provably find nothing
-        # become unconditional-latency codes (2 -> 7, 3 -> 8) or vanish
-        # (5, 6), keeping the serial loop to the events that matter.
-        infl_rel = (code_s == 0) | ((code_s >= 2) & (code_s != 4) & (code_s <= 6))
-        ri = np.nonzero(infl_rel)[0]
-        if len(ri):
-            gsel = arg_s[ri]
-            csel = code_s[ri]
-            go = np.argsort(gsel, kind="stable")
-            gg = gsel[go]
-            cg = csel[go]
-            first = np.empty(len(go), dtype=bool)
-            first[0] = True
-            first[1:] = gg[1:] != gg[:-1]
-            live_g = np.zeros(len(go), dtype=bool)
-            live_g[1:] = ~first[1:] & (cg[:-1] == 0)
-            if self._inflight:
-                keys0 = np.sort(
-                    np.fromiter(
-                        self._inflight.keys(),
-                        dtype=np.int64,
-                        count=len(self._inflight),
-                    )
-                )
-                pos0 = np.searchsorted(keys0, gg).clip(0, len(keys0) - 1)
-                live_g |= first & (keys0[pos0] == gg)
-            dead = np.empty(len(ri), dtype=bool)
-            dead[go] = ~live_g
-            code_s[ri[dead & (csel == 2)]] = 7
-            code_s[ri[dead & (csel == 3)]] = 8
-            drop = dead & ((csel == 5) | (csel == 6))
-            if drop.any():
-                keep = np.ones(len(ev_s), dtype=bool)
-                keep[ri[drop]] = False
-                ev_s = ev_s[keep]
-                code_s = code_s[keep]
-                arg_s = arg_s[keep]
-        ev_l = ev_s.tolist()
-        code_l = code_s.tolist()
-        arg_l = arg_s.tolist()
-
-        bw = self.bandwidth
-        window = bw.window
-        free = bw._free_time
-        ewma = bw._ewma_bpc
-        last = bw._last_time
-        totb = bw.total_bytes
-        tott = bw.total_transfers
-        line_bytes = machine.line_bytes
-        dur = line_bytes / bw.peak
-        bpw = line_bytes / window
-        dram_latency = machine.dram_latency
-        l2_lat = machine.l2.hit_latency / mlp
-        llc_lat = machine.llc.hit_latency / mlp
-        dram_term = (dur + dram_latency) / mlp
-        inflight = self._inflight
-        now = self.now
-        sw_late = 0
-        wb_count = 0
-        prev = -1
-        for e, c, g in zip(ev_l, code_l, arg_l):
-            # Hit-gap events and the interesting event itself each charge
-            # demand_cost; the repeated addition keeps float identity
-            # with the scalar loop.
-            if e != prev:
-                for _ in range(e - prev):
-                    now += demand_cost
-                prev = e
-            if c == 7:
-                now += l2_lat
-            elif c == 8:
-                now += llc_lat
-            elif c == 4:
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                now = start + dram_term
-            elif c == 2:
-                completion = inflight.pop(g, None)
-                if completion is not None and completion > now:
-                    now += (completion - now) / mlp
-                else:
-                    now += l2_lat
-            elif c == 3:
-                completion = inflight.pop(g, None)
-                if completion is not None and completion > now:
-                    now += (completion - now) / mlp
-                else:
-                    now += llc_lat
-            elif c == 6:
-                completion = inflight.pop(g, None)
-                if completion is not None and completion > now:
-                    now += (completion - now) / mlp
-                    sw_late += 1
-            elif c == 0:
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                inflight[g] = start + dur + dram_latency
-            elif c == 5:
-                inflight.pop(g, None)
-            else:  # c == 1: writeback
-                start = now if now > free else free
-                free = start + dur
-                totb += line_bytes
-                tott += 1
-                t = now if now > last else last
-                dt = t - last
-                if dt > 0:
-                    ewma *= 1.0 - min(dt / window, 1.0)
-                    last = t
-                ewma += bpw
-                wb_count += 1
-        for _ in range(n_run - 1 - prev):
-            now += demand_cost
-
-        self.now = now
-        bw._free_time = free
-        bw._ewma_bpc = ewma
-        bw._last_time = last
-        bw.total_bytes = totb
-        bw.total_transfers = tott
-        stats.sw_late += sw_late
-        stats.dram_writebacks += wb_count
 
     def drain_writebacks(self, stats: RunStats) -> int:
         """Account writebacks of dirty lines still resident at run end.
@@ -920,12 +235,7 @@ class CacheHierarchy:
         mlp: float,
         stats: RunStats,
     ) -> None:
-        """Service an L1 miss from L2, the LLC or DRAM.
-
-        Shared by both backends: the fast event loop inlines only the
-        L1 probe and delegates every miss here, so the two paths cannot
-        drift apart below the L1.
-        """
+        """Service an L1 miss from L2, the LLC or DRAM."""
         stats.l2.accesses += 1
         l2_flags = self.l2.peek_flags(line)
         if l2_flags is not None:

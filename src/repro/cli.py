@@ -42,11 +42,6 @@ content-addressed on-disk cache (default ``./.repro-cache`` or
 ``$REPRO_CACHE_DIR``), so regenerating a figure a second time performs
 zero re-simulations.  A per-run cell/cache summary is printed to stderr.
 
-Simulation backend: ``--sim-backend fast`` switches ``simulate`` and
-``experiment`` to the array-native cache simulators (bit-identical to
-the default ``reference`` backend, several times faster; see
-``docs/performance.md``).
-
 Fault tolerance: ``--retries N`` retries failing cells, ``--cell-timeout
 SECONDS`` bounds each dispatched cell group, and ``--best-effort`` keeps
 a run alive past permanent cell failures — surviving cells are rendered,
@@ -824,15 +819,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.cachesim.options import set_default_options
     from repro.serve import ServeOptions, serve_forever
 
     opts = EngineCLIOptions.from_args(args)
-    # No process-wide engine here — the daemon owns its engine pool —
-    # but the sim backend default must land before workers fork.
-    sim = opts.sim_options()
-    if sim is not None:
-        set_default_options(sim)
     tenant_quota = (
         args.tenant_quota if args.tenant_quota is not None else opts.cache_quota
     )

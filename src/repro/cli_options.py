@@ -121,15 +121,6 @@ class EngineCLIOptions:
             "default unbounded)",
         ),
     )
-    sim_backend: str | None = field(
-        default=None,
-        metadata=_flag(
-            "engine",
-            choices=("reference", "fast"),
-            help="cache-simulation backend: 'reference' (dict-based oracle) "
-            "or 'fast' (array-native, bit-identical; see docs/performance.md)",
-        ),
-    )
     strict: bool = True  # --strict / --best-effort; declared by hand below
 
     # -- obs ------------------------------------------------------------
@@ -188,14 +179,6 @@ class EngineCLIOptions:
             max_attempts=max(0, self.retries) + 1, timeout=self.cell_timeout
         )
 
-    def sim_options(self):
-        """``SimOptions`` for ``--sim-backend``, or ``None`` if unset."""
-        if self.sim_backend is None:
-            return None
-        from repro.cachesim.options import SimOptions
-
-        return SimOptions(backend=self.sim_backend)
-
     def install(self, progress: bool = True):
         """Install the process-wide engine defaults; returns the engine.
 
@@ -212,7 +195,6 @@ class EngineCLIOptions:
             progress=progress,
             retry=self.retry_policy(),
             strict=self.strict,
-            sim_options=self.sim_options(),
             cache_quota=self.cache_quota,
         )
 

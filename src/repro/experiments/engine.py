@@ -75,7 +75,6 @@ from typing import Callable, Iterable, Sequence
 from repro import faults, obs
 from repro.api import CONFIGS, ExperimentSpec
 from repro.cache import ResultCache, default_cache_dir
-from repro.cachesim.options import SimOptions, get_default_options
 from repro.cachesim.stats import RunStats
 from repro.errors import CellFailure, EngineError, RunInterrupted
 from repro.experiments import runner
@@ -263,24 +262,18 @@ def _compute_group(
     specs: tuple[ExperimentSpec, ...],
     trace: bool = False,
     deterministic: bool = False,
-    sim_options: SimOptions | None = None,
 ) -> tuple[list[tuple[ExperimentSpec, RunStats]], list[dict], dict]:
     """Worker entry point: simulate one batch of grid cells.
 
     Runs in a separate process; ``runner``'s in-process caches make the
     shared profiling pass, the plans *and* the rewritten-program decode
-    compute once per batch — cells differing only in configuration or
-    simulation options reuse them all.  When the parent traces, the
-    worker traces too and ships its finished spans and metrics snapshot
-    back alongside the results — the parent ingests them so one Chrome
-    trace shows every process's track.  The parent's simulation options
-    ship the same way (spawn-based pools don't inherit them).
+    compute once per batch — cells differing only in configuration
+    reuse them all.  When the parent traces, the worker traces too and
+    ships its finished spans and metrics snapshot back alongside the
+    results — the parent ingests them so one Chrome trace shows every
+    process's track.
     """
     faults.mark_worker()
-    if sim_options is not None:
-        from repro.cachesim.options import set_default_options
-
-        set_default_options(sim_options)
     if trace:
         tracer = obs.enable(deterministic=deterministic)
         tracer.clear()  # drop spans inherited from the parent via fork
@@ -704,7 +697,6 @@ class ExperimentEngine:
         deadline = self.retry.timeout
         tracing = obs.enabled()
         deterministic = tracing and obs.get_tracer().deterministic
-        sim_options = get_default_options()
         dispatch_span = obs.span(
             "engine.dispatch", groups=len(group_list), workers=workers
         )
@@ -729,7 +721,6 @@ class ExperimentEngine:
                             task.specs,
                             tracing,
                             deterministic,
-                            sim_options,
                         )
                     ] = task
 

@@ -272,8 +272,8 @@ def _rewritten_execution(
 
     Decoding (executing) the rewritten program is the most expensive
     machine-dependent stage of a cell; grid sweeps evaluate the same
-    rewritten program under many configurations (prefetch-honour modes,
-    backend choices, multicore mixes), so one decode serves them all.
+    rewritten program under many configurations (hardware prefetchers
+    alongside the plan, multicore mixes), so one decode serves them all.
     The memo keys on everything the rewrite depends on: the plan is a
     function of (workload, machine, kind, scale), the execution seed of
     (workload, input_set).

@@ -31,14 +31,6 @@ __all__ = [
     "throttle_factor",
 ]
 
-#: Empty batch result, shared by implementations with nothing to issue.
-_EMPTY_BATCH = (
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=bool),
-)
-
-
 def throttle_factor(rho: float) -> float:
     """Aggressiveness kept by a hardware prefetcher at utilisation ``rho``.
 
@@ -144,10 +136,11 @@ class HardwarePrefetcher(ABC):
         Returns ``(ev, lines, fill_l2)``: for each issued request, the
         index of the triggering access within this batch (non-decreasing;
         requests for the same access appear in issue order), the target
-        line, and whether it fills L2.  Must be equivalent to calling
-        :meth:`observe` once per access in order — this default does
-        exactly that; subclasses override it with vectorized
-        implementations.
+        line, and whether it fills L2 — exactly what calling
+        :meth:`observe` once per access, in order, issues.  The cache
+        hierarchy calls :meth:`observe`; this array form serves callers
+        that inspect a prefetcher's requests over a whole trace, such as
+        the cross-core fill-attribution invariant of ``repro validate``.
         """
         ev: list[int] = []
         out_lines: list[int] = []
@@ -162,26 +155,11 @@ class HardwarePrefetcher(ABC):
                 ev.append(i)
                 out_lines.append(req.line)
                 fill.append(req.fill_l2)
-        if not ev:
-            return _EMPTY_BATCH
         return (
             np.asarray(ev, dtype=np.int64),
             np.asarray(out_lines, dtype=np.int64),
             np.asarray(fill, dtype=bool),
         )
-
-    @property
-    def batch_safe(self) -> bool:
-        """Whether ``observe_batch`` is legal for whole-run batching.
-
-        Throttled prefetchers read time-varying bandwidth utilisation per
-        access, which a single batched call cannot reproduce, so they
-        must be driven through the scalar :meth:`observe` path.  The
-        same holds for coordinator-tuned prefetchers: the batched result
-        tuple carries no bypass channel and tuning may change between
-        epochs, so any non-default tuning forces the scalar path too.
-        """
-        return self._utilisation is None and self._tuning == DEFAULT_TUNING
 
     def _throttle_factor(self) -> float:
         """Scale factor in [0, 1] applied to prefetch degree.
@@ -207,15 +185,6 @@ class NullPrefetcher(HardwarePrefetcher):
 
     def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
         return []
-
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _EMPTY_BATCH
 
     def reset(self) -> None:
         pass

@@ -26,9 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-import numpy as np
-
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import HardwarePrefetcher, PrefetchRequest
 
 __all__ = ["GHBPrefetcher"]
 
@@ -114,174 +112,6 @@ class GHBPrefetcher(HardwarePrefetcher):
                 seen.add(target)
                 requests.append(self._request(target))
         return requests
-
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched observe: per-PC vectorised delta correlation.
-
-        GHB state factors cleanly by PC (one history deque each), so the
-        batch is grouped by PC and each group replayed with array ops:
-        the delta-pair search has a bounded lookback (``history - 1``
-        deltas), which unrolls into at most ``history - 2`` shifted
-        whole-group comparisons, and the replay gather is a fixed
-        ``(group, degree)`` window.  Table insertion order is preserved
-        by pre-inserting new PCs in first-occurrence order; when the
-        batch would overflow the FIFO table (eviction order depends on
-        the exact interleaving) the method falls back to a flat scalar
-        loop with identical semantics.
-        """
-        if not self.batch_safe:
-            return super().observe_batch(pcs, addrs, lines, l1_hits)
-        n = len(pcs)
-        table = self._table
-        if n < 64:
-            return self._observe_batch_flat(pcs, addrs, lines)
-        order = np.argsort(pcs, kind="stable")
-        sp = pcs[order]
-        uniq, start, counts = np.unique(sp, return_index=True, return_counts=True)
-        firsts = order[start]
-        new_sel = np.fromiter(
-            (pc not in table for pc in uniq.tolist()), dtype=bool, count=len(uniq)
-        )
-        if len(table) + int(np.count_nonzero(new_sel)) > self.table_size:
-            return self._observe_batch_flat(pcs, addrs, lines)
-        history = self.history
-        for pc in uniq[new_sel][np.argsort(firsts[new_sel])].tolist():
-            table[pc] = deque(maxlen=history)
-
-        window = history - 1  # deltas visible from one access
-        degree = self.degree
-        line_bytes = self.line_bytes
-        ks = np.arange(degree)
-        ev_out: list[np.ndarray] = []
-        tgt_out: list[np.ndarray] = []
-        for gi in range(len(uniq)):
-            m = int(counts[gi])
-            s0 = int(start[gi])
-            g_idx = order[s0 : s0 + m]
-            hist = table[int(uniq[gi])]
-            n_prev = len(hist)
-            a_group = np.concatenate(
-                (np.fromiter(hist, dtype=np.int64, count=n_prev), addrs[g_idx])
-            )
-            tail = a_group[-history:]
-            hist.clear()
-            hist.extend(tail.tolist())
-            if n_prev + m < 4:
-                continue
-            d = np.diff(a_group)
-            t = n_prev + np.arange(m)
-            valid = t >= 3
-            p = np.maximum(0, t - window)
-            key1 = d[np.maximum(t - 1, 0)]
-            key0 = d[np.maximum(t - 2, 0)]
-            # Most-recent-first pair search, unrolled over the bounded
-            # offset range: offset o means candidate position g = t - o.
-            best_o = np.zeros(m, dtype=np.int64)
-            found = np.zeros(m, dtype=bool)
-            for o in range(2, window + 1):
-                g = t - o
-                cand_o = valid & (g >= p + 1)
-                if not cand_o.any():
-                    break
-                g_c = np.maximum(g, 1)
-                hit_o = cand_o & ~found & (d[g_c] == key1) & (d[g_c - 1] == key0)
-                best_o[hit_o] = o
-                found |= hit_o
-            if not found.any():
-                continue
-            g_match = t - best_o
-            # Replay window: deltas g+1 .. min(g+degree, t-1), cumulated
-            # onto the trigger address.
-            ridx = g_match[:, None] + 1 + ks[None, :]
-            rvalid = found[:, None] & (ridx <= (t - 1)[:, None])
-            rd = np.where(rvalid, d[np.clip(ridx, 0, len(d) - 1)], 0)
-            predicted = addrs[g_idx][:, None] + np.cumsum(rd, axis=1)
-            targets = predicted // line_bytes
-            base_line = lines[g_idx]
-            cand = rvalid & (targets >= 0) & (targets != base_line[:, None])
-            keep = cand.copy()
-            for k in range(1, degree):
-                dup_k = np.zeros(m, dtype=bool)
-                for j in range(k):
-                    dup_k |= cand[:, j] & (targets[:, j] == targets[:, k])
-                keep[:, k] &= ~dup_k
-            rr, cc = np.nonzero(keep)
-            if len(rr):
-                ev_out.append(g_idx[rr])
-                tgt_out.append(targets[rr, cc])
-        if not ev_out:
-            return _EMPTY_BATCH
-        ev = np.concatenate(ev_out)
-        tgt = np.concatenate(tgt_out)
-        o = np.argsort(ev, kind="stable")
-        return ev[o], tgt[o], np.ones(len(ev), dtype=bool)
-
-    def _observe_batch_flat(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat scalar loop fallback (FIFO-eviction-exact)."""
-        table = self._table
-        table_size = self.table_size
-        history = self.history
-        degree = self.degree
-        line_bytes = self.line_bytes
-        ev: list[int] = []
-        targets: list[int] = []
-        pcs_l = pcs.tolist()
-        addrs_l = addrs.tolist()
-        lines_l = lines.tolist()
-        for i in range(len(pcs_l)):
-            pc = pcs_l[i]
-            addr = addrs_l[i]
-            hist = table.get(pc)
-            if hist is None:
-                if len(table) >= table_size:
-                    table.pop(next(iter(table)))
-                hist = deque(maxlen=history)
-                table[pc] = hist
-            hist.append(addr)
-            if len(hist) < 4:
-                continue
-            addr_list = list(hist)
-            deltas = [b - a for a, b in zip(addr_list, addr_list[1:])]
-            key0 = deltas[-2]
-            key1 = deltas[-1]
-            match = -1
-            for j in range(len(deltas) - 2, 0, -1):
-                if deltas[j] == key1 and deltas[j - 1] == key0:
-                    match = j
-                    break
-            if match < 0:
-                continue
-            replay = deltas[match + 1 : match + 1 + degree]
-            if not replay:
-                continue
-            line = lines_l[i]
-            seen = {line}
-            predicted = addr
-            for delta in replay:
-                predicted += delta
-                target = predicted // line_bytes
-                if target >= 0 and target not in seen:
-                    seen.add(target)
-                    ev.append(i)
-                    targets.append(target)
-        if not ev:
-            return _EMPTY_BATCH
-        return (
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.ones(len(ev), dtype=bool),
-        )
 
     def reset(self) -> None:
         self._table.clear()

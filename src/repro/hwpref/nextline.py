@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.hwpref.base import HardwarePrefetcher, PrefetchRequest
 
 __all__ = ["AdjacentLinePrefetcher"]
@@ -49,25 +47,6 @@ class AdjacentLinePrefetcher(HardwarePrefetcher):
             return []
         self._duty -= 1.0
         return [self._request(line ^ 1)]
-
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.batch_safe:
-            # Throttled or tuned: per-access gating is time-dependent;
-            # use the scalar fallback so behaviour matches observe().
-            return super().observe_batch(pcs, addrs, lines, l1_hits)
-        if self.on_miss_only:
-            ev = np.nonzero(~np.asarray(l1_hits, dtype=bool))[0].astype(np.int64)
-            targets = np.asarray(lines, dtype=np.int64)[ev] ^ 1
-        else:
-            ev = np.arange(len(lines), dtype=np.int64)
-            targets = np.asarray(lines, dtype=np.int64) ^ 1
-        return ev, targets, np.ones(len(ev), dtype=bool)
 
     def reset(self) -> None:
         self._duty = 0.0

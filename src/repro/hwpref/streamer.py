@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import HardwarePrefetcher, PrefetchRequest
 from repro.hwpref.nextline import AdjacentLinePrefetcher
 from repro.hwpref.stride_pref import PCStridePrefetcher
 
@@ -118,67 +116,6 @@ class StreamerPrefetcher(HardwarePrefetcher):
             requests.append(self._request(target))
         return requests
 
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched observe: one flat loop over the run.
-
-        The FIFO page table (``max_streams``) makes stream tracking
-        order-sensitive across pages, so this stays a loop — but a flat
-        one with local bindings and no per-request object construction,
-        several times cheaper than ``observe()`` per event.
-        """
-        if not self.batch_safe:
-            return super().observe_batch(pcs, addrs, lines, l1_hits)
-        streams = self._streams
-        lpp = self.lines_per_page
-        max_streams = self.max_streams
-        quarter_degree = self.max_degree / 4
-        cross_page = self.cross_page
-        ev: list[int] = []
-        targets: list[int] = []
-        for i, line in enumerate(lines.tolist()):
-            page = line // lpp
-            stream = streams.get(page)
-            if stream is None:
-                if len(streams) >= max_streams:
-                    streams.pop(next(iter(streams)))
-                streams[page] = _Stream(line)
-                continue
-            delta = line - stream.last_line
-            stream.last_line = line
-            if delta == 0:
-                continue
-            direction = 1 if delta > 0 else -1
-            if direction != stream.direction:
-                stream.direction = direction
-                stream.confidence = 1
-                continue
-            confidence = stream.confidence
-            if confidence < 8:
-                confidence += 1
-                stream.confidence = confidence
-            window = max(1, round(confidence * quarter_degree))
-            for k in range(1, window + 1):
-                target = line + direction * k
-                if target < 0:
-                    break
-                if not cross_page and target // lpp != page:
-                    break
-                ev.append(i)
-                targets.append(target)
-        if not ev:
-            return _EMPTY_BATCH
-        return (
-            np.asarray(ev, dtype=np.int64),
-            np.asarray(targets, dtype=np.int64),
-            np.ones(len(ev), dtype=bool),
-        )
-
     def reset(self) -> None:
         self._streams.clear()
 
@@ -202,52 +139,6 @@ class CompositePrefetcher(HardwarePrefetcher):
                     seen.add(req.line)
                     out.append(req)
         return out
-
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate component batches, dedup per access deterministically.
-
-        Per access, the first component to request a line wins (same rule
-        as the scalar path); later duplicates are dropped.
-        """
-        parts = [c.observe_batch(pcs, addrs, lines, l1_hits) for c in self.components]
-        parts = [p for p in parts if len(p[0])]
-        if not parts:
-            return _EMPTY_BATCH
-        if len(parts) == 1:
-            ev, tgt, fill = parts[0]
-        else:
-            comp_id = np.concatenate(
-                [np.full(len(p[0]), c, dtype=np.int64) for c, p in enumerate(parts)]
-            )
-            ev = np.concatenate([p[0] for p in parts])
-            tgt = np.concatenate([p[1] for p in parts])
-            fill = np.concatenate([p[2] for p in parts])
-            order = np.lexsort((comp_id, ev))
-            ev = ev[order]
-            tgt = tgt[order]
-            fill = fill[order]
-        # Drop per-access duplicate lines, keeping the earliest request.
-        seq = np.arange(len(ev))
-        by_line = np.lexsort((seq, tgt, ev))
-        dup = np.zeros(len(ev), dtype=bool)
-        same = (ev[by_line][1:] == ev[by_line][:-1]) & (tgt[by_line][1:] == tgt[by_line][:-1])
-        dup[by_line[1:][same]] = True
-        if dup.any():
-            keep = ~dup
-            ev = ev[keep]
-            tgt = tgt[keep]
-            fill = fill[keep]
-        return ev, tgt, fill
-
-    @property
-    def batch_safe(self) -> bool:
-        return super().batch_safe and all(c.batch_safe for c in self.components)
 
     def apply_tuning(self, tuning) -> None:
         super().apply_tuning(tuning)

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import HardwarePrefetcher, PrefetchRequest
 
 __all__ = ["PCStridePrefetcher"]
 
@@ -123,117 +121,6 @@ class PCStridePrefetcher(HardwarePrefetcher):
             if target >= 0 and target != line:
                 requests.append(self._request(target))
         return requests
-
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized per-PC stride training and issue.
-
-        Confidence after each non-zero stride is a function of its run
-        of equal consecutive strides, so a whole batch trains with
-        grouped array arithmetic.  Falls back to the scalar loop when
-        throttled (time-dependent degree) or when the table would
-        overflow mid-batch (FIFO evictions are order-sensitive).
-        """
-        if not self.batch_safe:
-            return super().observe_batch(pcs, addrs, lines, l1_hits)
-        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        if len(pcs) == 0:
-            return _EMPTY_BATCH
-        order = np.argsort(pcs, kind="stable")
-        uniq, starts = np.unique(pcs[order], return_index=True)
-        new_pcs = sum(1 for p in uniq.tolist() if p not in self._table)
-        if len(self._table) + new_pcs > self.table_size:
-            return super().observe_batch(pcs, addrs, lines, l1_hits)
-
-        degree = self.degree
-        thr = self.train_threshold
-        ev_parts: list[np.ndarray] = []
-        tgt_parts: list[np.ndarray] = []
-        # Insert brand-new PCs in first-occurrence order so future FIFO
-        # evictions replay identically to the scalar path.
-        first_seen = {int(p): int(order[s]) for p, s in zip(uniq.tolist(), starts.tolist())}
-        for p in sorted(first_seen, key=first_seen.get):
-            if p not in self._table:
-                self._table[p] = _Entry(0)
-                self._table[p].last_addr = None  # type: ignore[assignment]
-
-        bounds = np.append(starts, len(pcs))
-        for g, p in enumerate(uniq.tolist()):
-            idx = order[bounds[g] : bounds[g + 1]]
-            idx.sort()
-            a = addrs[idx]
-            entry = self._table[p]
-            if entry.last_addr is None:
-                # Created above: the first access trains, issues nothing.
-                entry.last_addr = int(a[0])
-                entry.stride = 0
-                entry.confidence = 0
-                if len(a) == 1:
-                    continue
-                prev = a[:-1]
-                cur = a[1:]
-                cur_idx = idx[1:]
-            else:
-                prev = np.concatenate(([entry.last_addr], a[:-1]))
-                cur = a
-                cur_idx = idx
-            strides = cur - prev
-            entry.last_addr = int(a[-1])
-            nz = strides != 0
-            if not nz.any():
-                continue
-            s = strides[nz]
-            s_idx = cur_idx[nz]
-            s_lines = lines[s_idx]
-            m = len(s)
-            # Run decomposition over equal consecutive strides; run 0 may
-            # continue the entry's trained stride and inherit confidence.
-            new_run = np.empty(m, dtype=bool)
-            new_run[0] = int(s[0]) != entry.stride
-            new_run[1:] = s[1:] != s[:-1]
-            pos = np.arange(m)
-            run_start = np.maximum.accumulate(np.where(new_run, pos, 0))
-            k_in_run = pos - run_start
-            base = np.zeros(m, dtype=np.int64)
-            if not new_run[0]:
-                base[run_start == 0] = entry.confidence
-            conf = np.minimum(base + 1 + k_in_run, 8)
-            entry.stride = int(s[-1])
-            entry.confidence = int(conf[-1])
-            issue = (~new_run) | (~new_run[0] & (run_start == 0))
-            issue &= conf >= thr
-            if not issue.any():
-                continue
-            si = s[issue]
-            direction = np.where(si > 0, 1, -1)
-            step = np.maximum(1, np.abs(si) // self.line_bytes)
-            ramp = np.minimum(self.max_ramp, conf[issue] - thr + 1)
-            distance = self.distance_lines * ramp
-            base_line = s_lines[issue]
-            targets = (
-                base_line[:, None]
-                + direction[:, None] * step[:, None] * (distance[:, None] + np.arange(degree))
-            )
-            valid = (targets >= 0) & (targets != base_line[:, None])
-            ev_rep = np.repeat(s_idx[issue], degree).reshape(-1, degree)
-            ev_parts.append(ev_rep[valid])
-            tgt_parts.append(targets[valid])
-
-        if not ev_parts:
-            return _EMPTY_BATCH
-        ev = np.concatenate(ev_parts)
-        tgt = np.concatenate(tgt_parts)
-        final = np.argsort(ev, kind="stable")
-        ev = ev[final]
-        tgt = tgt[final]
-        return ev, tgt, np.ones(len(ev), dtype=bool)
 
     def reset(self) -> None:
         self._table.clear()

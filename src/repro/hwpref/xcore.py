@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.errors import ProgramError
-from repro.hwpref.base import _EMPTY_BATCH, HardwarePrefetcher, PrefetchRequest
+from repro.hwpref.base import HardwarePrefetcher, PrefetchRequest
 
 if TYPE_CHECKING:  # isa imports cachesim imports hwpref — defer the cycle
     from repro.config import MachineConfig
@@ -178,7 +178,7 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
         addrs = region.data_base + slots * region.data_elem_bytes
         return addrs // self.line_bytes
 
-    # -- scalar path ---------------------------------------------------
+    # -- observation ---------------------------------------------------
 
     def observe(self, pc: int, addr: int, line: int, l1_hit: bool) -> list[PrefetchRequest]:
         region = self.regions.get(pc)
@@ -200,65 +200,6 @@ class CrossCoreLLCPrefetcher(HardwarePrefetcher):
             return []
         lines = self._resolve(region, np.arange(lo, hi + 1, dtype=np.int64))
         return [self._request(int(t), fill_l2=False) for t in lines]
-
-    # -- batched path --------------------------------------------------
-
-    def observe_batch(
-        self,
-        pcs: np.ndarray,
-        addrs: np.ndarray,
-        lines: np.ndarray,
-        l1_hits: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized pointer walk, equivalent to per-access ``observe``.
-
-        Because the pointer after every access is always ``start +
-        degree`` regardless of how much was issued, the carried state
-        needs no sequential scan: access ``k`` resumes from access
-        ``k-1``'s window end, elementwise.
-        """
-        if not self.batch_safe:
-            return super().observe_batch(pcs, addrs, lines, l1_hits)
-        if len(pcs) == 0 or not self.regions:
-            return _EMPTY_BATCH
-        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        addrs = np.ascontiguousarray(addrs, dtype=np.int64)
-        degree = self.degree
-        ahead = self.ahead
-        ev_parts: list[np.ndarray] = []
-        tgt_parts: list[np.ndarray] = []
-        for pc, region in self.regions.items():
-            idx = np.flatnonzero(pcs == pc)
-            if len(idx) == 0:
-                continue
-            start = region.position_of(addrs[idx]).astype(np.int64) + ahead
-            hi = start + degree - 1
-            prev_next = np.empty(len(idx), dtype=np.int64)
-            prev_next[1:] = start[:-1] + degree
-            nxt = self._next.get(pc)
-            prev_next[0] = nxt if nxt is not None else start[0] - degree - 1
-            resume = (start < prev_next) & (prev_next <= hi + 1)
-            lo = np.where(resume, prev_next, start)
-            self._next[pc] = int(start[-1]) + degree
-            counts = hi - lo + 1
-            emit = counts > 0
-            if not emit.any():
-                continue
-            lo_e = lo[emit]
-            counts_e = counts[emit]
-            ends = np.cumsum(counts_e)
-            total = int(ends[-1])
-            run_id = np.repeat(np.arange(len(counts_e)), counts_e)
-            offsets = np.arange(total) - (ends - counts_e)[run_id]
-            positions = lo_e[run_id] + offsets
-            ev_parts.append(np.repeat(idx[emit], counts_e))
-            tgt_parts.append(self._resolve(region, positions))
-        if not ev_parts:
-            return _EMPTY_BATCH
-        ev = np.concatenate(ev_parts)
-        tgt = np.concatenate(tgt_parts)
-        order = np.argsort(ev, kind="stable")
-        return ev[order], tgt[order], np.zeros(len(ev), dtype=bool)
 
     def reset(self) -> None:
         self._next.clear()

@@ -1,16 +1,16 @@
 """Model-vs-simulation conformance harness (``repro validate``).
 
 The reproduction rests on a chain of trust: the StatStack model is
-validated against exact cache simulation, the fast simulation backend
-against the reference one, and the rewriter against the interpreter.
+validated against exact cache simulation, the cache simulator against
+an exact stack-distance oracle, and the rewriter against the interpreter.
 This package makes that chain *executable*:
 
 * :mod:`~repro.validate.oracle` — exact LRU stack distances (ground
   truth independent of all simulators);
 * :mod:`~repro.validate.corpus` — the seeded trace corpus with
   per-class error bounds;
-* :mod:`~repro.validate.differential` — StatStack vs oracle vs both
-  simulation backends;
+* :mod:`~repro.validate.differential` — StatStack vs oracle, and the
+  fully- and set-associative simulator vs the (per-set) oracle;
 * :mod:`~repro.validate.invariants` — metamorphic laws of the pipeline
   (stack inclusion, MRC monotonicity, rewrite semantics, bypass
   consistency, coverage accounting);

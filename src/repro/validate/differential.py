@@ -1,6 +1,6 @@
-"""Oracle differential suite: StatStack vs exact simulation vs backends.
+"""Oracle differential suite: StatStack vs exact simulation vs oracle.
 
-For every corpus trace this engine establishes a three-way agreement:
+For every corpus trace this engine establishes three agreements:
 
 1. **Oracle vs simulator** — the per-access miss vector of the
    fully-associative :class:`~repro.cachesim.functional.FunctionalCacheSim`
@@ -12,10 +12,10 @@ For every corpus trace this engine establishes a three-way agreement:
    trace's reuse-distance distribution) must track the exact curve
    within the trace class's documented L∞/L1 bounds, and per-PC miss
    ratios within the class's per-PC bound (the paper's Fig. 3 claim).
-3. **Backend vs backend** — the dict-based reference backend and the
-   array-native fast backend must produce bit-identical miss vectors
-   *and* eviction-victim streams on realistic set-associative
-   geometries.
+3. **Set-associative simulator vs per-set oracle** — on realistic
+   set-associative geometries the simulator's miss vector must equal
+   the stack-distance oracle applied to each set on its own (a miss is
+   a cold access or a within-set distance of at least ``ways``).
 
 Every check failure is recorded per trace; nothing raises, so a run
 always yields a complete report.
@@ -33,11 +33,13 @@ from repro.config import CacheConfig
 from repro.sampling.sampler import RuntimeSampler
 from repro.statstack.mrc import MissRatioCurve
 from repro.statstack.model import StatStackModel
+from repro.trace.events import MemoryTrace
 from repro.validate.corpus import CorpusTrace
 from repro.validate.oracle import (
     oracle_miss_ratio_curve,
     oracle_miss_vector,
     oracle_per_pc_miss_ratios,
+    oracle_set_miss_vector,
     stack_distances,
 )
 
@@ -59,7 +61,7 @@ class DiffSettings:
 
     sampler_rates: tuple[float, ...] = (1.0,)
     pc_min_samples: int = 16
-    backend_geometries: tuple[tuple[int, int], ...] = ((64, 4), (16, 2))
+    set_geometries: tuple[tuple[int, int], ...] = ((64, 4), (16, 2))
 
 
 @dataclass
@@ -74,7 +76,7 @@ class TraceDiffResult:
     l1: float = 0.0
     pc_divergence: float = 0.0
     sim_matches_oracle: bool = True
-    backends_identical: bool = True
+    set_assoc_matches_oracle: bool = True
     failures: list[str] = field(default_factory=list)
 
     @property
@@ -91,7 +93,7 @@ class TraceDiffResult:
             "l1": self.l1,
             "pc_divergence": self.pc_divergence,
             "sim_matches_oracle": self.sim_matches_oracle,
-            "backends_identical": self.backends_identical,
+            "set_assoc_matches_oracle": self.set_assoc_matches_oracle,
             "failures": list(self.failures),
             "passed": self.passed,
         }
@@ -127,8 +129,11 @@ def _per_pc_divergence(
     return worst
 
 
-def _check_backend_parity(
-    entry: CorpusTrace, result: TraceDiffResult, geometries: tuple[tuple[int, int], ...]
+def _check_set_associative(
+    demand: MemoryTrace,
+    lines: np.ndarray,
+    result: TraceDiffResult,
+    geometries: tuple[tuple[int, int], ...],
 ) -> None:
     for sets, ways in geometries:
         config = CacheConfig(
@@ -137,18 +142,15 @@ def _check_backend_parity(
             ways=ways,
             line_bytes=LINE_BYTES,
         )
-        runs = {}
-        for backend in ("reference", "fast"):
-            sim = FunctionalCacheSim(config, backend=backend)
-            sim.run(entry.trace, collect_victims=True)
-            runs[backend] = (sim.last_miss, sim.last_victims)
-        miss_ok = np.array_equal(runs["reference"][0], runs["fast"][0])
-        victims_ok = np.array_equal(runs["reference"][1], runs["fast"][1])
-        if not (miss_ok and victims_ok):
-            result.backends_identical = False
+        sim = FunctionalCacheSim(config)
+        sim.run(demand)
+        expected = oracle_set_miss_vector(lines, sets, ways)
+        if not np.array_equal(sim.last_miss, expected):
+            diverging = int(np.count_nonzero(sim.last_miss != expected))
+            result.set_assoc_matches_oracle = False
             result.failures.append(
-                f"backend divergence at {sets}s/{ways}w: "
-                f"miss_identical={miss_ok} victims_identical={victims_ok}"
+                f"simulator disagrees with per-set stack oracle at "
+                f"{sets}s/{ways}w on {diverging}/{len(expected)} events"
             )
 
 
@@ -173,9 +175,7 @@ def diff_one(entry: CorpusTrace, settings: DiffSettings) -> TraceDiffResult:
         # 1. simulator vs oracle: bit-identical miss vectors at the two
         #    sizes bracketing the knee.
         for size in (int(sizes[0]), int(sizes[len(sizes) // 2])):
-            sim = FunctionalCacheSim(
-                fully_associative_config(size, LINE_BYTES), backend="fast"
-            )
+            sim = FunctionalCacheSim(fully_associative_config(size, LINE_BYTES))
             sim.run(demand)
             expected = oracle_miss_vector(sd, size // LINE_BYTES)
             if not np.array_equal(sim.last_miss, expected):
@@ -228,8 +228,8 @@ def diff_one(entry: CorpusTrace, settings: DiffSettings) -> TraceDiffResult:
                     f"{entry.cls} bound {bounds.pc + slack:.4f}"
                 )
 
-        # 3. reference vs fast backend parity.
-        _check_backend_parity(entry, result, settings.backend_geometries)
+        # 3. set-associative simulator vs the per-set stack oracle.
+        _check_set_associative(demand, lines, result, settings.set_geometries)
 
     if obs.enabled():
         obs.metrics().counter("validate.diff.traces").inc()

@@ -87,8 +87,7 @@ def _check_stack_inclusion(entry: CorpusTrace) -> InvariantResult:
     misses = {}
     for cache_lines in (small_lines, large_lines):
         sim = FunctionalCacheSim(
-            fully_associative_config(cache_lines * LINE_BYTES, LINE_BYTES),
-            backend="reference",
+            fully_associative_config(cache_lines * LINE_BYTES, LINE_BYTES)
         )
         sim.run(demand)
         expected = oracle_miss_vector(sd, cache_lines)

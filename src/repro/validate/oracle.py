@@ -17,6 +17,10 @@ falls out in closed form:
 * the stack (inclusion) property — a hit at size ``C`` is a hit at any
   larger size — holds by construction, so any simulator disagreeing
   with this oracle at some size violates LRU semantics.
+
+A set-associative LRU cache is one such stack per set: an access misses
+iff it is cold or its stack distance *within its set* is at least the
+associativity (:func:`oracle_set_miss_vector`).
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "COLD",
     "stack_distances",
     "oracle_miss_vector",
+    "oracle_set_miss_vector",
     "oracle_miss_ratio_curve",
     "oracle_per_pc_miss_ratios",
 ]
@@ -100,6 +105,22 @@ def oracle_miss_vector(sd: np.ndarray, cache_lines: int) -> np.ndarray:
     if cache_lines <= 0:
         raise SimulationError("cache_lines must be positive")
     return (sd == COLD) | (sd >= cache_lines)
+
+
+def oracle_set_miss_vector(lines: np.ndarray, sets: int, ways: int) -> np.ndarray:
+    """Per-access miss booleans of a ``sets`` × ``ways`` LRU cache.
+
+    Lines map to set ``line & (sets - 1)``; each set's accesses form an
+    independent fully-associative LRU stack of ``ways`` lines.
+    """
+    if sets <= 0 or sets & (sets - 1):
+        raise SimulationError("sets must be a positive power of two")
+    set_of = lines & (sets - 1)
+    miss = np.empty(len(lines), dtype=bool)
+    for s in np.unique(set_of).tolist():
+        pos = np.flatnonzero(set_of == s)
+        miss[pos] = oracle_miss_vector(stack_distances(lines[pos]), ways)
+    return miss
 
 
 def oracle_miss_ratio_curve(

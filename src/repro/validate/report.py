@@ -20,7 +20,9 @@ from repro.validate.selftest import SelfTestOutcome
 
 __all__ = ["REPORT_FORMAT", "ValidationReport"]
 
-REPORT_FORMAT = "repro-validate-v1"
+#: v2: each differential row reports ``set_assoc_matches_oracle`` (the
+#: per-set stack-oracle check) in place of v1's ``backends_identical``.
+REPORT_FORMAT = "repro-validate-v2"
 
 
 @dataclass

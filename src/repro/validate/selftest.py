@@ -8,8 +8,8 @@ one deliberate corruption per engine — in the style of
 * ``model-mrc-bump`` → **differential** engine: StatStack's whole-curve
   miss ratio is inflated by a constant; the L∞ check against the exact
   curve must flag every trace class.
-* ``eviction-perturbation`` → **invariant** engine: the reference
-  backend's LRU eviction is flipped to evict the *most* recently used
+* ``eviction-perturbation`` → **invariant** engine: the cache
+  simulator's LRU eviction is flipped to evict the *most* recently used
   line.  MRU eviction is still a stack algorithm — pairwise inclusion
   alone would pass! — so this specifically certifies the
   simulator-vs-stack-oracle comparison inside ``lru-stack-inclusion``.
@@ -94,22 +94,23 @@ def _mutate_model(corpus: list[CorpusTrace]) -> SelfTestOutcome:
     )
 
 
+def mru_install(self: LRUCache, line: int, flags: int = 0):
+    """:meth:`LRUCache.install` with the eviction flipped to MRU."""
+    s = self._sets[line & self._set_mask]
+    old = s.pop(line, None)
+    if old is not None:
+        s[line] = old | flags
+        return None
+    victim = None
+    if len(s) >= self.ways:
+        victim_line = next(reversed(s))  # evict MRU instead of LRU
+        victim = (victim_line, s.pop(victim_line))
+    s[line] = flags
+    return victim
+
+
 def _mutate_eviction(corpus: list[CorpusTrace]) -> SelfTestOutcome:
     original = LRUCache.install
-
-    def mru_install(self: LRUCache, line: int, flags: int = 0):
-        s = self._sets[line & self._set_mask]
-        old = s.pop(line, None)
-        if old is not None:
-            s[line] = old | flags
-            return None
-        victim = None
-        if len(s) >= self.ways:
-            victim_line = next(reversed(s))  # evict MRU instead of LRU
-            victim = (victim_line, s.pop(victim_line))
-        s[line] = flags
-        return victim
-
     LRUCache.install = mru_install  # type: ignore[method-assign]
     try:
         results = run_invariants(corpus)

@@ -50,8 +50,7 @@ class TestFunctionalSim:
         assert stats.accesses == {7: 2, 8: 1}
         assert stats.misses == {7: 1, 8: 1}
 
-    @pytest.mark.parametrize("backend", ["reference", "fast"])
-    def test_prefetch_hit_refreshes_recency(self, backend):
+    def test_prefetch_hit_refreshes_recency(self):
         """Regression: a prefetch to a resident line must promote it.
 
         Real hardware refreshes the LRU position of a line a prefetch
@@ -70,7 +69,7 @@ class TestFunctionalSim:
             [a, b, a, c, a],
             [MemOp.LOAD, MemOp.LOAD, MemOp.PREFETCH, MemOp.LOAD, MemOp.LOAD],
         )
-        sim = FunctionalCacheSim(CacheConfig("T", 128, ways=2), backend=backend)
+        sim = FunctionalCacheSim(CacheConfig("T", 128, ways=2))
         stats = sim.run(t, honor_prefetches=True)
         assert stats.total_misses() == 3
         assert not sim.last_miss[-1]  # the re-load of A hit

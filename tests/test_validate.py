@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.cachesim.functional import FunctionalCacheSim, fully_associative_config
+from repro.cachesim.lru import LRUCache
+from repro.config import CacheConfig
 from repro.trace import MemoryTrace
 from repro.validate import (
     CLASS_BOUNDS,
@@ -30,9 +32,11 @@ from repro.validate.oracle import (
     COLD,
     oracle_miss_ratio_curve,
     oracle_miss_vector,
+    oracle_set_miss_vector,
     stack_distances,
 )
 from repro.validate.report import REPORT_FORMAT
+from repro.validate.selftest import _SELFTEST_CLASSES, mru_install
 
 
 def brute_force_stack_distances(lines):
@@ -89,6 +93,24 @@ class TestOracle:
             sim.run(trace)
             assert np.array_equal(sim.last_miss, oracle_miss_vector(sd, lines))
 
+    def test_set_oracle_matches_set_associative_simulator(self, rng):
+        addr = rng.integers(0, 400, size=3000) * 64
+        trace = MemoryTrace.loads(np.zeros(len(addr), np.int64), addr)
+        lines = trace.line_addr(64)
+        for sets, ways in ((64, 4), (16, 2), (1, 8), (32, 1)):
+            sim = FunctionalCacheSim(CacheConfig("T", sets * ways * 64, ways=ways))
+            sim.run(trace)
+            assert np.array_equal(
+                sim.last_miss, oracle_set_miss_vector(lines, sets, ways)
+            )
+
+    def test_set_oracle_with_one_set_is_fully_associative(self, rng):
+        lines = rng.integers(0, 60, size=1000)
+        assert np.array_equal(
+            oracle_set_miss_vector(lines, 1, 16),
+            oracle_miss_vector(stack_distances(lines), 16),
+        )
+
 
 class TestCorpus:
     def test_deterministic(self):
@@ -121,7 +143,21 @@ class TestDifferentialFast:
         for result in run_differential(corpus, DiffSettings()):
             assert result.passed, result.failures
             assert result.sim_matches_oracle
-            assert result.backends_identical
+            assert result.set_assoc_matches_oracle
+
+    def test_set_associative_check_flags_mru_eviction(self, monkeypatch):
+        # The eviction-perturbation self-test patch must trip the
+        # set-associative check on every self-test class on its own.
+        corpus = [
+            next(e for e in build_corpus(seed=0, quick=True) if e.cls == cls)
+            for cls in _SELFTEST_CLASSES
+        ]
+        monkeypatch.setattr(LRUCache, "install", mru_install)
+        settings = DiffSettings()
+        for entry in corpus:
+            result = diff_one(entry, settings)
+            assert not result.set_assoc_matches_oracle, entry.name
+            assert any("per-set stack oracle" in f for f in result.failures)
 
     def test_result_dict_shape(self):
         entry = build_corpus(seed=0, quick=True)[0]
