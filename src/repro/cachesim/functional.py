@@ -52,16 +52,8 @@ class FunctionalCacheSim:
         #: Per-event miss vector of the most recent :meth:`run` (over the
         #: simulated view: demand-only unless ``honor_prefetches``).
         self.last_miss: np.ndarray = np.zeros(0, dtype=bool)
-        #: Eviction victims of the most recent :meth:`run` in program
-        #: order (populated only with ``collect_victims=True``).
-        self.last_victims: np.ndarray = np.empty(0, dtype=np.int64)
 
-    def run(
-        self,
-        trace: MemoryTrace,
-        honor_prefetches: bool = False,
-        collect_victims: bool = False,
-    ) -> PCStats:
+    def run(self, trace: MemoryTrace, honor_prefetches: bool = False) -> PCStats:
         """Simulate ``trace``; returns per-PC demand stats.
 
         With ``honor_prefetches=False`` (default) software prefetch
@@ -72,9 +64,6 @@ class FunctionalCacheSim:
         the cache, *refresh the LRU recency* of an already-resident
         line — which measures how many demand misses a prefetch plan
         removes, the paper's coverage metric.
-
-        ``collect_victims`` additionally records evicted line numbers in
-        program order on :attr:`last_victims` (differential testing).
         """
         view = trace if honor_prefetches else trace.demand_only()
         lines = view.line_addr(self.config.line_bytes)
@@ -83,17 +72,14 @@ class FunctionalCacheSim:
         with obs.span(
             "cachesim.functional", level=self.config.name, events=len(view)
         ):
-            miss, victims = self._run_reference(lines, is_demand, collect_victims)
+            miss = self._run_reference(lines, is_demand)
             if obs.enabled():
                 obs.metrics().counter("sim.functional.events").inc(len(view))
         self.last_miss = miss
-        self.last_victims = victims
         self.stats.record_bulk(pcs[is_demand], miss[is_demand])
         return self.stats
 
-    def _run_reference(
-        self, lines: np.ndarray, is_demand: np.ndarray, collect_victims: bool
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _run_reference(self, lines: np.ndarray, is_demand: np.ndarray) -> np.ndarray:
         """Per-event oracle loop over the dict-based LRU cache.
 
         Demand and prefetch events have identical cache-state effects —
@@ -106,22 +92,17 @@ class FunctionalCacheSim:
         """
         cache = self.cache
         miss = np.zeros(len(lines), dtype=bool)
-        victims: list[int] = []
         for i in range(len(lines)):
             line = int(lines[i])
             if is_demand[i]:
                 if not cache.lookup(line):
                     miss[i] = True
-                    victim = cache.install(line)
-                    if collect_victims and victim is not None:
-                        victims.append(victim[0])
+                    cache.install(line)
             elif not cache.lookup(line):
                 # Prefetch miss: fetch and install the line (timing-free).
                 miss[i] = True
-                victim = cache.install(line)
-                if collect_victims and victim is not None:
-                    victims.append(victim[0])
-        return miss, np.asarray(victims, dtype=np.int64)
+                cache.install(line)
+        return miss
 
     def miss_ratio(self) -> float:
         """Overall demand miss ratio observed so far."""

@@ -74,6 +74,20 @@ class LRUCache:
         s[line] = flags | set_flags
         return True
 
+    def access(self, line: int, set_flags: int) -> int | None:
+        """Probe for ``line``; on hit, return its prior flags and refresh it.
+
+        A hit ORs ``set_flags`` in and makes the line most-recently-used,
+        like :meth:`lookup`, but hands back the flags it had before, so a
+        demand access needs one call where it needed :meth:`peek_flags`
+        plus :meth:`lookup`.  Returns None on a miss (nothing changes).
+        """
+        s = self._sets[line & self._set_mask]
+        flags = s.pop(line, None)
+        if flags is not None:
+            s[line] = flags | set_flags
+        return flags
+
     def touch_flags(self, line: int, set_flags: int) -> bool:
         """OR flags into a resident line *without* refreshing LRU order."""
         s = self._sets[line & self._set_mask]

@@ -308,9 +308,9 @@ def compute_run(spec: ExperimentSpec) -> RunStats:
                 spec.workload, spec.input_set, spec.scale, spec.machine, row.plan
             )
 
-        # Build the hierarchy fully wired: the batched fast path is
-        # chosen at construction from the attached prefetcher, so the
-        # prefetcher must not be bolted on afterwards.
+        # Build the hierarchy fully wired: whether demand accesses are
+        # shown to a prefetcher at all is fixed when the hierarchy is
+        # built, so the prefetcher must not be bolted on afterwards.
         bandwidth = BandwidthModel(machine.bytes_per_cycle())
         prefetcher = prefetcher_for(row, machine, profile.program, bandwidth.utilisation)
         hierarchy = CacheHierarchy(

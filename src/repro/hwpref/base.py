@@ -47,19 +47,30 @@ def throttle_factor(rho: float) -> float:
     return max(0.25, 1.0 - 0.75 * min(span, 1.0))
 
 
-@dataclass(frozen=True)
 class PrefetchRequest:
-    """One line the hardware prefetcher wants brought on chip."""
+    """One line the hardware prefetcher wants brought on chip.
 
-    line: int
-    fill_l2: bool = True
-    #: Skip the LLC on the fill (non-temporal), leaving shared space to
-    #: neighbours — set when a coordinator retargets the prefetcher.
-    llc_bypass: bool = False
+    A slotted class, not a frozen dataclass: the models build one per
+    line of their window on every observed access, and the dataclass
+    construction cost more than twice as much.
+    """
 
-    def __post_init__(self) -> None:
-        if self.line < 0:
+    __slots__ = ("line", "fill_l2", "llc_bypass")
+
+    def __init__(self, line: int, fill_l2: bool = True, llc_bypass: bool = False) -> None:
+        if line < 0:
             raise ValueError("prefetch line must be non-negative")
+        self.line = line
+        self.fill_l2 = fill_l2
+        #: Skip the LLC on the fill (non-temporal), leaving shared space to
+        #: neighbours — set when a coordinator retargets the prefetcher.
+        self.llc_bypass = llc_bypass
+
+    def __repr__(self) -> str:
+        return (
+            f"PrefetchRequest(line={self.line}, fill_l2={self.fill_l2}, "
+            f"llc_bypass={self.llc_bypass})"
+        )
 
 
 @dataclass(frozen=True)

@@ -108,108 +108,103 @@ class MulticoreSimulator:
     def run(self, drain: bool = True) -> MulticoreResult:
         """Execute all cores to completion."""
         machine = self.machine
+        cores = self.cores
+        hierarchies = self.hierarchies
         shift = machine.line_bytes.bit_length() - 1
         store_op = int(MemOp.STORE)
         nta_op = int(MemOp.PREFETCH_NTA)
         store_nt_op = int(MemOp.STORE_NT)
 
-        states = []
-        heap: list[tuple[float, int]] = []
-        for idx, (spec, hier) in enumerate(zip(self.cores, self.hierarchies)):
-            stats = RunStats(line_bytes=machine.line_bytes)
-            demand_cost = (
-                machine.cycles_per_memop + machine.cpi_base * spec.work_per_memop
-            )
-            states.append(
-                {
-                    "spec": spec,
-                    "hier": hier,
-                    "stats": stats,
-                    "pos": 0,
-                    "demand_cost": demand_cost,
-                    "n_demand": 0,
-                    "n_prefetch": 0,
-                }
-            )
-            if len(spec.trace):
-                heapq.heappush(heap, (0.0, idx))
+        # Per-core state lives in parallel lists indexed by core, read
+        # through locals in the loop.  memoryviews of the read-only trace
+        # arrays yield Python ints without copying the traces.
+        pcs = [memoryview(spec.trace.pc) for spec in cores]
+        addrs = [memoryview(spec.trace.addr) for spec in cores]
+        ops = [memoryview(spec.trace.op) for spec in cores]
+        lengths = [len(spec.trace) for spec in cores]
+        mlps = [spec.mlp for spec in cores]
+        demand_costs = [
+            machine.cycles_per_memop + machine.cpi_base * spec.work_per_memop
+            for spec in cores
+        ]
+        per_core = [RunStats(line_bytes=machine.line_bytes) for _ in cores]
+        positions = [0] * len(cores)
+        n_demand = [0] * len(cores)
+        n_prefetch = [0] * len(cores)
+        # (clock, core index) keys are unique, so the pop order is fixed;
+        # all clocks start at 0.0, so index order is already a heap.
+        heap: list[tuple[float, int]] = [(0.0, idx) for idx, n in enumerate(lengths) if n]
+        heapreplace = heapq.heapreplace
+        heappop = heapq.heappop
 
         coordinator = self.coordinator
         epoch_events = self.epoch_events
         events_since_epoch = 0
-        epoch_prev = [(0, 0, 0) for _ in states]
+        epoch_prev = [(0, 0, 0) for _ in cores]
 
         while heap:
-            _, idx = heapq.heappop(heap)
-            st = states[idx]
-            spec: CoreSpec = st["spec"]
-            hier: CacheHierarchy = st["hier"]
-            trace = spec.trace
-            pos = st["pos"]
-            op = trace.op[pos]
-            addr = int(trace.addr[pos])
+            idx = heap[0][1]
+            hier = hierarchies[idx]
+            stats = per_core[idx]
+            pos = positions[idx]
+            op = ops[idx][pos]
+            addr = addrs[idx][pos]
             line = addr >> shift
             if op <= store_op:
-                st["n_demand"] += 1
+                n_demand[idx] += 1
                 hier._demand_access(
-                    int(trace.pc[pos]),
-                    addr,
-                    line,
-                    op == store_op,
-                    st["demand_cost"],
-                    spec.mlp,
-                    st["stats"],
+                    pcs[idx][pos], addr, line, op == store_op,
+                    demand_costs[idx], mlps[idx], stats,
                 )
             elif op == store_nt_op:
-                st["n_demand"] += 1
-                hier._nt_store(int(trace.pc[pos]), line, st["demand_cost"], st["stats"])
+                n_demand[idx] += 1
+                hier._nt_store(pcs[idx][pos], line, demand_costs[idx], stats)
             else:
-                st["n_prefetch"] += 1
-                hier._sw_prefetch(line, op == nta_op, st["stats"])
-            st["pos"] = pos + 1
-            if st["pos"] < len(trace):
-                heapq.heappush(heap, (hier.now, idx))
+                n_prefetch[idx] += 1
+                hier._sw_prefetch(line, op == nta_op, stats)
+            pos += 1
+            positions[idx] = pos
+            if pos < lengths[idx]:
+                heapreplace(heap, (hier.now, idx))
+            else:
+                heappop(heap)
             if coordinator is not None:
                 events_since_epoch += 1
                 if events_since_epoch >= epoch_events:
                     events_since_epoch = 0
-                    epoch_prev = self._control_epoch(states, epoch_prev)
+                    epoch_prev = self._control_epoch(per_core, epoch_prev)
 
-        results: list[RunStats] = []
-        for st in states:
-            stats: RunStats = st["stats"]
-            spec = st["spec"]
+        for idx, (spec, hier, stats) in enumerate(zip(cores, hierarchies, per_core)):
             stats.instructions = (
-                int(st["n_demand"] * (1.0 + spec.work_per_memop)) + st["n_prefetch"]
+                int(n_demand[idx] * (1.0 + spec.work_per_memop)) + n_prefetch[idx]
             )
-            stats.cycles = st["hier"].now
+            stats.cycles = hier.now
             if drain:
-                st["hier"].drain_writebacks(stats)
-            results.append(stats)
+                hier.drain_writebacks(stats)
 
         return MulticoreResult(
-            per_core=results,
-            names=[spec.name for spec in self.cores],
+            per_core=per_core,
+            names=[spec.name for spec in cores],
             total_bytes=self.bandwidth.total_bytes,
-            makespan_cycles=max(s.cycles for s in results),
+            makespan_cycles=max(s.cycles for s in per_core),
         )
 
     def _control_epoch(
         self,
-        states: list[dict],
+        per_core: list[RunStats],
         prev: list[tuple[int, int, int]],
     ) -> list[tuple[int, int, int]]:
         """Run one coordinator decision and retune every prefetcher.
 
-        ``prev`` holds each core's (transfers, prefetches, insertions)
-        counters at the previous epoch boundary; this epoch's feedback
-        is computed from the deltas since then.
+        ``per_core`` holds each core's statistics so far and ``prev``
+        each core's (transfers, prefetches, insertions) counters at the
+        previous epoch boundary; this epoch's feedback is computed from
+        the deltas since then.
         """
         llc_bytes = float(self.machine.llc.size_bytes)
         snap = []
         deltas = []
-        for st, (p_tr, p_pf, p_ins) in zip(states, prev):
-            stats: RunStats = st["stats"]
+        for stats, (p_tr, p_pf, p_ins) in zip(per_core, prev):
             transfers = stats.dram_fills + stats.dram_writebacks
             prefetches = stats.hw_prefetches
             inserts = stats.llc_insertions
@@ -218,10 +213,9 @@ class MulticoreSimulator:
 
         total_traffic = sum(d[0] for d in deltas)
         total_inserts = sum(d[2] for d in deltas)
-        n = len(states)
+        n = len(per_core)
         feedback = []
-        for st, (d_tr, d_pf, d_ins) in zip(states, deltas):
-            spec: CoreSpec = st["spec"]
+        for spec, (d_tr, d_pf, d_ins) in zip(self.cores, deltas):
             bw_share = d_tr / total_traffic if total_traffic > 0 else 1.0 / n
             spec_share = min(1.0, d_pf / d_tr) if d_tr > 0 else 0.0
             llc_share = d_ins / total_inserts if total_inserts > 0 else 1.0 / n
@@ -251,8 +245,8 @@ class MulticoreSimulator:
                 f"coordinator returned {len(tunings)} tunings for {n} cores"
             )
         note_decisions(tunings)
-        for st, tuning in zip(states, tunings):
-            prefetcher = st["spec"].prefetcher
+        for spec, tuning in zip(self.cores, tunings):
+            prefetcher = spec.prefetcher
             if prefetcher is not None:
                 prefetcher.apply_tuning(tuning)
         return snap

@@ -1,7 +1,5 @@
 """Tests for the set-associative LRU cache."""
 
-import pytest
-
 from repro.cachesim.lru import (
     FLAG_DIRTY,
     FLAG_NTA,
@@ -66,6 +64,24 @@ class TestFlags:
         c.install(3, FLAG_SW_PREFETCH)
         c.lookup(3, FLAG_REFERENCED)
         assert c.peek_flags(3) == FLAG_SW_PREFETCH | FLAG_REFERENCED
+
+    def test_access_hit_returns_prior_flags_and_refreshes(self):
+        c = make_cache(lines=2, ways=2)  # one set, two ways
+        c.install(0, FLAG_SW_PREFETCH)
+        c.install(1)
+        assert c.access(0, FLAG_REFERENCED | FLAG_DIRTY) == FLAG_SW_PREFETCH
+        assert c.peek_flags(0) == FLAG_SW_PREFETCH | FLAG_REFERENCED | FLAG_DIRTY
+        victim = c.install(2)
+        assert victim == (1, 0)  # 0 became MRU, so 1 is the next victim
+
+    def test_access_miss_returns_none_and_changes_nothing(self):
+        c = make_cache(lines=2, ways=2)
+        c.install(0, FLAG_DIRTY)
+        c.install(1)
+        assert c.access(4, FLAG_REFERENCED) is None
+        assert list(c.resident_lines()) == [0, 1]  # LRU order kept
+        assert c.peek_flags(0) == FLAG_DIRTY and c.peek_flags(1) == 0
+        assert not c.contains(4)
 
     def test_touch_flags_does_not_refresh(self):
         c = make_cache(lines=4, ways=4)

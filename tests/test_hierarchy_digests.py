@@ -7,7 +7,11 @@ and traffic counts) with a recorded digest.  The cases cover every event
 kind (loads, stores, ``PREFETCH``, ``PREFETCHNTA``, NT stores), every
 hardware prefetcher model including the AMD/Intel composites and the
 cross-core helper on graph programs, an NTA-bypass tuning and throttled
-prefetchers.  A digest changes only when simulated behaviour does.
+prefetchers.  The multicore cases pin the direct
+:class:`~repro.multicore.simulator.MulticoreSimulator`, which drives the
+same handlers on cores sharing one LLC and one memory controller, with
+and without a coordinator retuning the prefetchers.  A digest changes
+only when simulated behaviour does.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from repro.hwpref import (
     cross_core_prefetcher_for,
     intel_hw_prefetcher,
 )
+from repro.multicore import CoreSpec, HeuristicCoordinator, MulticoreSimulator
+from repro.statstack.mrc import MissRatioCurve
 from repro.trace import MemOp, MemoryTrace
 
 PREFETCHER_FACTORIES = {
@@ -200,6 +206,59 @@ def _xcore(name, throttled):
     return case
 
 
+#: Per-core prefetchers of the multicore cases, in core order.
+MULTICORE_PREFETCHERS = (intel_hw_prefetcher, amd_hw_prefetcher, StreamerPrefetcher, GHBPrefetcher)
+
+
+def _multicore(n_cores, coordinated=False):
+    """``n_cores`` cores, every event kind, a hardware prefetcher on each.
+
+    Even cores run mixed traces with every event kind over overlapping
+    addresses, so the shared LLC serves cross-core hits; odd cores run
+    PC-correlated streams with software prefetches in a private range,
+    so their stride and GHB prefetchers fire.  The coordinated case runs
+    on a starved memory controller, so the heuristic really throttles.
+    Core 1 gets a falling miss-ratio curve and keeps filling the LLC;
+    the other cores have no curve, read a zero gradient and are
+    retargeted to LLC-bypassing fills.  Runs are not drained: a drain
+    charges every core for the whole shared LLC.
+    """
+
+    def case(tiny, amd):
+        machine = replace(amd, peak_bandwidth_gbs=STARVED_GBS) if coordinated else amd
+        rng = np.random.default_rng(20 + n_cores + 10 * coordinated)
+        falling = MissRatioCurve(
+            np.array([64 * 1024, 1 << 20, 2 << 20, 4 << 20, 8 << 20], dtype=np.int64),
+            np.array([0.9, 0.8, 0.5, 0.2, 0.1]),
+        )
+        cores = []
+        for k in range(n_cores):
+            if k % 2:
+                t = pc_correlated_trace(rng, 3000, nta_share=0.05, sw_share=0.05)
+                t = MemoryTrace(t.pc, t.addr + (k << 30), t.op)
+            else:
+                t = random_trace(rng, 3000, 1024 * (k + 1), all_ops=True)
+            cores.append(
+                CoreSpec(
+                    t,
+                    work_per_memop=2.0 + k,
+                    mlp=1.0 + k,
+                    prefetcher=MULTICORE_PREFETCHERS[k](machine.line_bytes),
+                    name=f"c{k}",
+                    mrc=falling if coordinated and k == 1 else None,
+                )
+            )
+        sim = MulticoreSimulator(
+            machine,
+            cores,
+            coordinator=HeuristicCoordinator() if coordinated else None,
+            epoch_events=500,
+        )
+        return sim.run(drain=False).per_core
+
+    return case
+
+
 CASES = {
     "all-event-kinds-tiny": _all_event_kinds,
     "tiny-stride": _tiny_with_prefetcher(PCStridePrefetcher),
@@ -216,6 +275,9 @@ CASES = {
     "xcore-hashjoin": _xcore("hashjoin", throttled=False),
     "xcore-pagerank-throttled": _xcore("pagerank", throttled=True),
     "xcore-hashjoin-throttled": _xcore("hashjoin", throttled=True),
+    "multicore-2": _multicore(2),
+    "multicore-4": _multicore(4),
+    "multicore-4-coordinated": _multicore(4, coordinated=True),
 }
 
 DIGESTS = {
@@ -234,6 +296,9 @@ DIGESTS = {
     "amd-streamer-own-bandwidth-model": "a2a709053432ce1923186a2a5518a8ae83085ce9ec059bde55dee97947532ed6",
     "amd-throttled-amd": "35020c4bf347b621b5102e6d4c380f1dac3751af9f81dc09eb5e0b5119d77c3a",
     "amd-throttled-intel": "ce55fed9eea11592bc91deb8816d3f073d6b92fe146a19bce2c53057ad7bd7ed",
+    "multicore-2": "1549ea344662f39dd3b30848ef2d0ef11698a9448652e360d2734fdd80cbb06d",
+    "multicore-4": "325ad0e912ab5d7e46826b610a4d74f0bf4d961e3cd797260c417d64b9cba484",
+    "multicore-4-coordinated": "6f03f82026cf5766632e6e6cfbef5ae61520c23f6bf78632de8eda8de20e6808",
     "tiny-ghb": "f232022f71a9e0576222c9f8ba8076b43fe6d10523d2a192f1663126fec98ec3",
     "tiny-stride": "6d5ad0d383b9a8b2a24adb6abcbfd0e68309b4c637c3c1bc018a3d4bbf41be46",
     "xcore-hashjoin": "13452dac2df0577cbea13b053d56af43bc9317fedd447cd2dd5c7f4303432e4e",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cachesim.stats import LevelStats, PCStats, RunStats
 from repro.experiments.tables import gbs, pct, render_series, render_table
-from repro.hwpref.base import NullPrefetcher, PrefetchRequest
+from repro.hwpref.base import NullPrefetcher, PrefetchRequest, PrefetchTuning
 from repro.trace.util import next_same_value_index
 
 
@@ -33,6 +33,16 @@ class TestPrefetchRequest:
 
     def test_fill_l2_default(self):
         assert PrefetchRequest(5).fill_l2 is True
+
+    def test_llc_bypass_default(self):
+        assert PrefetchRequest(5).llc_bypass is False
+
+    def test_request_honours_nta_bypass_tuning(self):
+        pf = NullPrefetcher()
+        assert pf._request(3).llc_bypass is False
+        pf.apply_tuning(PrefetchTuning(nta_bypass=True))
+        req = pf._request(3, fill_l2=False)
+        assert (req.line, req.fill_l2, req.llc_bypass) == (3, False, True)
 
 
 class TestThrottleBase:

@@ -14,6 +14,7 @@ from repro.multicore import (
 from repro.statstack.mrc import MissRatioCurve
 from repro.trace import MemoryTrace
 from repro.trace.synthesis import strided_pattern
+from tests.test_hierarchy_digests import random_trace
 
 
 def stream_trace(base, n=20_000, stride=64):
@@ -34,16 +35,26 @@ def small_machine(bw_gbs=2.0):
 
 
 class TestMulticoreSimulator:
-    def test_single_core_matches_hierarchy(self, tiny_machine):
+    @pytest.mark.parametrize("machine_name", ["tiny", "intel-i7-2600k"])
+    @pytest.mark.parametrize("prefetcher", ["none", "intel", "amd"])
+    def test_single_core_matches_hierarchy(self, machine_name, prefetcher, tiny_machine):
+        """One core through the multicore driver is the solo hierarchy, exactly."""
         from repro.cachesim import CacheHierarchy
+        from repro.config import get_machine
+        from repro.core.serialization import stats_to_dict
+        from repro.hwpref import amd_hw_prefetcher, intel_hw_prefetcher
 
-        t = stream_trace(0)
-        solo = CacheHierarchy(tiny_machine).run(t, work_per_memop=2.0, mlp=2.0)
+        factories = {"none": lambda: None, "intel": intel_hw_prefetcher, "amd": amd_hw_prefetcher}
+        machine = tiny_machine if machine_name == "tiny" else get_machine(machine_name)
+        t = random_trace(np.random.default_rng(9), 6000, 2048, all_ops=True)
+        hier = CacheHierarchy(machine, prefetcher=factories[prefetcher]())
+        solo = hier.run(t, work_per_memop=3.0, mlp=2.0)
+        hier.drain_writebacks(solo)
         multi = MulticoreSimulator(
-            tiny_machine, [CoreSpec(t, work_per_memop=2.0, mlp=2.0)]
-        ).run(drain=False)
-        assert multi.per_core[0].cycles == pytest.approx(solo.cycles)
-        assert multi.per_core[0].dram_fills == solo.dram_fills
+            machine,
+            [CoreSpec(t, work_per_memop=3.0, mlp=2.0, prefetcher=factories[prefetcher]())],
+        ).run(drain=True)
+        assert stats_to_dict(multi.per_core[0]) == stats_to_dict(solo)
 
     def test_contention_slows_everyone(self):
         machine = small_machine(bw_gbs=1.0)
